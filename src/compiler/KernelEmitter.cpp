@@ -13,14 +13,18 @@
 //
 //  2. The interpreter stores every result to memory through a *runtime*
 //     register index, which makes cross-instruction FMA contraction
-//     impossible there. Specialized code with constant indices would be
-//     SSA to the host compiler, which happily fuses `t = a*b; d = t+c;`
-//     across statements into an FMA under -O3 -march=native, diverging
-//     from the VM in the last ulp. The emitter therefore places an
-//     `asm("" : "+m"(dst))` value barrier after every instruction whose
-//     result could be an exposed multiply (Mul, and the inlined fast-math
-//     kernels) — forcing the same "rounds through memory" semantics the
-//     interpreter has, while leaving lane loops fully vectorizable.
+//     impossible there. Specialized code is SSA to the host compiler —
+//     the vector flavour keeps each register as a W-lane vector value —
+//     which happily fuses `t = a*b; d = t+c;` across statements into an
+//     FMA under -O3 -march=native, diverging from the VM in the last ulp.
+//     The emitter therefore places an empty-asm value barrier after every
+//     instruction whose result could be an exposed multiply (Mul, and the
+//     inlined fast-math kernels): the product is rounded and opaque, as
+//     the interpreter's is. The vector flavour pins the value in a SIMD
+//     register (`asm("" : "+v"(r))` on x86, `"+w"` on AArch64); only where
+//     the vector is wider than the host's widest register (W=8 without
+//     AVX-512, W=16) does it fall back to `"+m"`, a round trip through
+//     memory — the only form the scalar flavour's register array uses.
 //
 //===----------------------------------------------------------------------===//
 
@@ -41,9 +45,11 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <initializer_list>
 #include <mutex>
 #include <sstream>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 using namespace limpet;
@@ -588,239 +594,184 @@ void emitScalarInstr(std::string &Out, const BcInstr &I, const EmitCtx &C,
   Out += "\n";
 }
 
-/// One instruction of the vector flavour: a braced block with restrict
-/// lane-base pointers and a constant-trip lane loop, mirroring
-/// execVectorInstr<W, Fast>.
+std::string vreg(unsigned Reg) { return "r" + std::to_string(Reg); }
+
+/// A per-lane body the vector types cannot spell (libm and fast-math
+/// calls, fmod, LUT gathers): the VM's lane loop, run over local arrays.
+/// \p Ins pairs an array name with the register copied into it; \p Body
+/// assigns `d[L]` from the inputs' lanes; the result is loaded back into
+/// \p Dst as one vector.
+void emitLaneLoop(std::ostringstream &S, unsigned W,
+                  std::initializer_list<std::pair<const char *, unsigned>> Ins,
+                  unsigned Dst, const std::string &Body) {
+  S << "      double d[" << W << "]";
+  for (const auto &[Name, Reg] : Ins)
+    S << ", " << Name << "[" << W << "]";
+  S << ";\n";
+  for (const auto &[Name, Reg] : Ins)
+    S << "      __builtin_memcpy(" << Name << ", &" << vreg(Reg) << ", sizeof "
+      << Name << ");\n";
+  S << "      for (int L = 0; L != " << W << "; ++L)" << Body;
+  S << "      __builtin_memcpy(&" << vreg(Dst) << ", d, sizeof d);\n";
+}
+
+/// One instruction of the vector flavour, mirroring execVectorInstr<W,
+/// Fast>: each register is an `lv` value, so element-wise ops are single
+/// vector expressions the host compiler keeps in SIMD registers.
 void emitVectorInstr(std::string &Out, const BcInstr &I, const EmitCtx &C,
                      const std::string &Cell) {
   const unsigned W = C.W;
-  auto Base = [&](unsigned Reg) { return std::to_string(size_t(Reg) * W); };
-  std::string Lane = "for (int L = 0; L != " + std::to_string(W) + "; ++L)";
+  const std::string D = vreg(I.Dst), Ra = vreg(I.A), Rb = vreg(I.B),
+                    Rc = vreg(I.C);
+  const std::string Col = std::to_string(I.Aux2);
   std::ostringstream S;
   S << "    { // " << bcOpName(I.Op) << "\n";
-  auto DeclD = [&] {
-    S << "      double *LIMPET_RESTRICT D = R + " << Base(I.Dst) << ";\n";
+  // Unit-stride state and external blocks move as one unaligned vector.
+  auto Contiguous = [&](bool Load, const std::string &Ptr) {
+    S << "      __builtin_memcpy("
+      << (Load ? "&" + D + ", " + Ptr : Ptr + ", &" + Ra) << ", sizeof(lv));\n";
   };
-  auto DeclA = [&] {
-    S << "      const double *LIMPET_RESTRICT Ra = R + " << Base(I.A)
-      << ";\n";
+  auto StatePtr = [&] {
+    std::ostringstream P;
+    if (C.P.Layout == codegen::StateLayout::AoSoA)
+      P << "A.State + size_t(" << Cell << ") * " << C.P.NumSv << " + "
+        << size_t(I.Aux) * W;
+    else
+      P << "A.State + size_t(" << I.Aux << ") * A.NumCells + " << Cell;
+    return P.str();
   };
-  auto DeclB = [&] {
-    S << "      const double *LIMPET_RESTRICT Rb = R + " << Base(I.B)
-      << ";\n";
-  };
-  auto DeclC = [&] {
-    S << "      const double *LIMPET_RESTRICT Rc = R + " << Base(I.C)
-      << ";\n";
+  // AoS: one cell's struct per lane, a strided gather/scatter.
+  auto AosElem = [&] {
+    return "A.State[size_t(" + Cell + " + L) * " + std::to_string(C.P.NumSv) +
+           " + " + std::to_string(size_t(I.Aux)) + "]";
   };
 
   switch (I.Op) {
   case BcOp::ConstF:
-    DeclD();
-    S << "      " << Lane << "\n        D[L] = " << bitsLiteral(I.Imm)
-      << ";\n";
+    S << "      " << D << " = lsplat(" << bitsLiteral(I.Imm) << ");\n";
     break;
   case BcOp::Copy:
-    DeclD();
-    DeclA();
-    S << "      " << Lane << "\n        D[L] = Ra[L];\n";
+    S << "      " << D << " = " << Ra << ";\n";
     break;
   case BcOp::LoadState:
-    DeclD();
-    switch (C.P.Layout) {
-    case codegen::StateLayout::AoSoA:
-      S << "      const double *Src = A.State + size_t(" << Cell << ") * "
-        << C.P.NumSv << " + " << size_t(I.Aux) * W << ";\n"
-        << "      " << Lane << "\n        D[L] = Src[L];\n";
-      break;
-    case codegen::StateLayout::SoA:
-      S << "      const double *Src = A.State + size_t(" << I.Aux
-        << ") * A.NumCells + " << Cell << ";\n"
-        << "      " << Lane << "\n        D[L] = Src[L];\n";
-      break;
-    case codegen::StateLayout::AoS:
-      S << "      " << Lane << "\n        D[L] = A.State[size_t(" << Cell
-        << " + L) * " << C.P.NumSv << " + " << size_t(I.Aux) << "];\n";
-      break;
-    }
+    if (C.P.Layout == codegen::StateLayout::AoS)
+      emitLaneLoop(S, W, {}, I.Dst, "\n        d[L] = " + AosElem() + ";\n");
+    else
+      Contiguous(true, StatePtr());
     break;
   case BcOp::StoreState:
-    DeclA();
-    switch (C.P.Layout) {
-    case codegen::StateLayout::AoSoA:
-      S << "      double *Dst = A.State + size_t(" << Cell << ") * "
-        << C.P.NumSv << " + " << size_t(I.Aux) * W << ";\n"
-        << "      " << Lane << "\n        Dst[L] = Ra[L];\n";
-      break;
-    case codegen::StateLayout::SoA:
-      S << "      double *Dst = A.State + size_t(" << I.Aux
-        << ") * A.NumCells + " << Cell << ";\n"
-        << "      " << Lane << "\n        Dst[L] = Ra[L];\n";
-      break;
-    case codegen::StateLayout::AoS:
-      S << "      " << Lane << "\n        A.State[size_t(" << Cell
-        << " + L) * " << C.P.NumSv << " + " << size_t(I.Aux)
-        << "] = Ra[L];\n";
-      break;
-    }
+    if (C.P.Layout == codegen::StateLayout::AoS)
+      S << "      double a[" << W << "];\n"
+        << "      __builtin_memcpy(a, &" << Ra << ", sizeof a);\n"
+        << "      for (int L = 0; L != " << W << "; ++L)\n        "
+        << AosElem() << " = a[L];\n";
+    else
+      Contiguous(false, StatePtr());
     break;
   case BcOp::LoadExt:
-    DeclD();
-    S << "      const double *Src = A.Exts[" << I.Aux << "] + " << Cell
-      << ";\n"
-      << "      " << Lane << "\n        D[L] = Src[L];\n";
+    Contiguous(true, "A.Exts[" + std::to_string(I.Aux) + "] + " + Cell);
     break;
   case BcOp::StoreExt:
-    DeclA();
-    S << "      double *Dst = A.Exts[" << I.Aux << "] + " << Cell << ";\n"
-      << "      " << Lane << "\n        Dst[L] = Ra[L];\n";
+    Contiguous(false, "A.Exts[" + std::to_string(I.Aux) + "] + " + Cell);
     break;
   case BcOp::LoadParam:
-    DeclD();
-    S << "      " << Lane << "\n        D[L] = A.Params[" << I.Aux
-      << "];\n";
+    S << "      " << D << " = lsplat(A.Params[" << I.Aux << "]);\n";
     break;
   case BcOp::Rem:
-    DeclD();
-    DeclA();
-    DeclB();
-    S << "      " << Lane << "\n        D[L] = std::fmod(Ra[L], Rb[L]);\n";
+    emitLaneLoop(S, W, {{"a", I.A}, {"b", I.B}}, I.Dst,
+                 "\n        d[L] = std::fmod(a[L], b[L]);\n");
     break;
   case BcOp::Neg:
-    DeclD();
-    DeclA();
-    S << "      " << Lane << "\n        D[L] = -Ra[L];\n";
+    S << "      " << D << " = -" << Ra << ";\n";
     break;
   case BcOp::Min:
     // The vector engine uses the ternary (not fmin): mirror it exactly,
     // NaN behaviour included.
-    DeclD();
-    DeclA();
-    DeclB();
-    S << "      " << Lane
-      << "\n        D[L] = Ra[L] < Rb[L] ? Ra[L] : Rb[L];\n";
+    S << "      " << D << " = " << Ra << " < " << Rb << " ? " << Ra << " : "
+      << Rb << ";\n";
     break;
   case BcOp::Max:
-    DeclD();
-    DeclA();
-    DeclB();
-    S << "      " << Lane
-      << "\n        D[L] = Ra[L] > Rb[L] ? Ra[L] : Rb[L];\n";
+    S << "      " << D << " = " << Ra << " > " << Rb << " ? " << Ra << " : "
+      << Rb << ";\n";
     break;
   case BcOp::And:
-    DeclD();
-    DeclA();
-    DeclB();
-    S << "      " << Lane
-      << "\n        D[L] = (Ra[L] != 0.0) & (Rb[L] != 0.0) ? 1.0 : 0.0;\n";
-    break;
   case BcOp::Or:
-    DeclD();
-    DeclA();
-    DeclB();
-    S << "      " << Lane
-      << "\n        D[L] = (Ra[L] != 0.0) | (Rb[L] != 0.0) ? 1.0 : 0.0;\n";
+  case BcOp::Xor: {
+    const char *Sp = I.Op == BcOp::And ? "&" : I.Op == BcOp::Or ? "|" : "!=";
+    S << "      " << D << " = (" << Ra << " != lzero) " << Sp << " (" << Rb
+      << " != lzero) ? lone : lzero;\n";
     break;
-  case BcOp::Xor:
-    DeclD();
-    DeclA();
-    DeclB();
-    S << "      " << Lane
-      << "\n        D[L] = (Ra[L] != 0.0) != (Rb[L] != 0.0) ? 1.0 : "
-         "0.0;\n";
-    break;
+  }
   case BcOp::Select:
-    DeclD();
-    DeclA();
-    DeclB();
-    DeclC();
-    S << "      " << Lane
-      << "\n        D[L] = Ra[L] != 0.0 ? Rb[L] : Rc[L];\n";
+    S << "      " << D << " = " << Ra << " != lzero ? " << Rb << " : " << Rc
+      << ";\n";
     break;
   case BcOp::LutCoord:
-    DeclD();
-    DeclA();
-    S << "      double *LIMPET_RESTRICT Fr = R + " << Base(I.C) << ";\n"
-      << "      const NativeLutDesc &Lt = A.Luts[" << I.Aux << "];\n"
-      << "      double Lo = Lt.Lo, InvStep = Lt.InvStep;\n"
-      << "      double MaxPos = Lt.MaxPos, MaxIdx = Lt.MaxIdx;\n"
-      << "      " << Lane << " {\n"
-      << "        double Pos = (Ra[L] - Lo) * InvStep;\n"
-      << "        Pos = Pos > 0.0 ? (Pos < MaxPos ? Pos : MaxPos) : 0.0;\n"
-      << "        double Floor = double(int64_t(Pos));\n"
-      << "        Floor = Floor > MaxIdx ? MaxIdx : Floor;\n"
-      << "        D[L] = Floor;\n"
-      << "        Fr[L] = Pos - Floor;\n"
-      << "      }\n";
+    // LutTable::coord on whole vectors. As in the VM's lane loop, the
+    // clamp sends a NaN lane to 0.0 before the truncating conversion.
+    S << "      const NativeLutDesc &Lt = A.Luts[" << I.Aux << "];\n"
+      << "      lv Pos = (" << Ra << " - lsplat(Lt.Lo)) * lsplat(Lt.InvStep);\n"
+      << "      const lv MaxPos = lsplat(Lt.MaxPos), MaxIdx = "
+         "lsplat(Lt.MaxIdx);\n"
+      << "      Pos = Pos > lzero ? (Pos < MaxPos ? Pos : MaxPos) : lzero;\n"
+      << "      lv Floor = __builtin_convertvector("
+         "__builtin_convertvector(Pos, lvi), lv);\n"
+      << "      Floor = Floor > MaxIdx ? MaxIdx : Floor;\n"
+      << "      " << D << " = Floor;\n"
+      << "      " << Rc << " = Pos - Floor;\n";
     break;
   case BcOp::LutInterp:
-    DeclD();
-    DeclA();
-    DeclB();
-    S << "      const NativeLutDesc &Lt = A.Luts[" << I.Aux << "];\n"
-      << "      const double *LIMPET_RESTRICT Tab = Lt.Data;\n"
-      << "      int64_t Cols = Lt.Cols;\n"
-      << "      " << Lane << " {\n"
-      << "        int64_t Idx = int64_t(Ra[L]);\n"
-      << "        double Lo = Tab[Idx * Cols + " << I.Aux2 << "];\n"
-      << "        double Hi = Tab[Idx * Cols + Cols + " << I.Aux2 << "];\n"
-      << "        D[L] = Lo + Rb[L] * (Hi - Lo);\n"
-      << "      }\n";
+    S << "      const double *Tab = A.Luts[" << I.Aux << "].Data;\n"
+      << "      int64_t Cols = A.Luts[" << I.Aux << "].Cols;\n";
+    emitLaneLoop(S, W, {{"a", I.A}, {"b", I.B}}, I.Dst,
+                 " {\n"
+                 "        int64_t Idx = int64_t(a[L]);\n"
+                 "        double Lo = Tab[Idx * Cols + " + Col + "];\n"
+                 "        double Hi = Tab[Idx * Cols + Cols + " + Col + "];\n"
+                 "        d[L] = Lo + b[L] * (Hi - Lo);\n"
+                 "      }\n");
     break;
   case BcOp::LutInterpCubic:
-    DeclD();
-    DeclA();
-    DeclB();
-    S << "      const NativeLutDesc &Lt = A.Luts[" << I.Aux << "];\n"
-      << "      const double *LIMPET_RESTRICT Tab = Lt.Data;\n"
-      << "      int64_t Cols = Lt.Cols;\n"
-      << "      int64_t LastRow = Lt.Rows - 1;\n"
-      << "      " << Lane << " {\n"
-      << "        int64_t Idx = int64_t(Ra[L]);\n"
-      << "        int64_t I0 = Idx > 0 ? Idx - 1 : 0;\n"
-      << "        int64_t I3 = Idx + 2 < LastRow + 1 ? Idx + 2 : LastRow;\n"
-      << "        double P0 = Tab[I0 * Cols + " << I.Aux2 << "];\n"
-      << "        double P1 = Tab[Idx * Cols + " << I.Aux2 << "];\n"
-      << "        double P2 = Tab[(Idx + 1) * Cols + " << I.Aux2 << "];\n"
-      << "        double P3 = Tab[I3 * Cols + " << I.Aux2 << "];\n"
-      << "        double Tf = Rb[L];\n"
-      << "        double W0 = -Tf * (Tf - 1.0) * (Tf - 2.0) * (1.0 / "
-         "6.0);\n"
-      << "        double W1 = (Tf + 1.0) * (Tf - 1.0) * (Tf - 2.0) * "
-         "0.5;\n"
-      << "        double W2 = -(Tf + 1.0) * Tf * (Tf - 2.0) * 0.5;\n"
-      << "        double W3 = (Tf + 1.0) * Tf * (Tf - 1.0) * (1.0 / "
-         "6.0);\n"
-      << "        D[L] = W0 * P0 + W1 * P1 + W2 * P2 + W3 * P3;\n"
-      << "      }\n";
+    S << "      const double *Tab = A.Luts[" << I.Aux << "].Data;\n"
+      << "      int64_t Cols = A.Luts[" << I.Aux << "].Cols;\n"
+      << "      int64_t LastRow = A.Luts[" << I.Aux << "].Rows - 1;\n";
+    emitLaneLoop(
+        S, W, {{"a", I.A}, {"b", I.B}}, I.Dst,
+        " {\n"
+        "        int64_t Idx = int64_t(a[L]);\n"
+        "        int64_t I0 = Idx > 0 ? Idx - 1 : 0;\n"
+        "        int64_t I3 = Idx + 2 < LastRow + 1 ? Idx + 2 : LastRow;\n"
+        "        double P0 = Tab[I0 * Cols + " + Col + "];\n"
+        "        double P1 = Tab[Idx * Cols + " + Col + "];\n"
+        "        double P2 = Tab[(Idx + 1) * Cols + " + Col + "];\n"
+        "        double P3 = Tab[I3 * Cols + " + Col + "];\n"
+        "        double Tf = b[L];\n"
+        "        double W0 = -Tf * (Tf - 1.0) * (Tf - 2.0) * (1.0 / 6.0);\n"
+        "        double W1 = (Tf + 1.0) * (Tf - 1.0) * (Tf - 2.0) * 0.5;\n"
+        "        double W2 = -(Tf + 1.0) * Tf * (Tf - 2.0) * 0.5;\n"
+        "        double W3 = (Tf + 1.0) * Tf * (Tf - 1.0) * (1.0 / 6.0);\n"
+        "        d[L] = W0 * P0 + W1 * P1 + W2 * P2 + W3 * P3;\n"
+        "      }\n");
     break;
   default:
     if (const char *Fn = mathFnName(I.Op, C.Fast)) {
-      DeclD();
-      DeclA();
-      if (I.Op == BcOp::Pow) {
-        DeclB();
-        S << "      " << Lane << "\n        D[L] = " << Fn
-          << "(Ra[L], Rb[L]);\n";
-      } else {
-        S << "      " << Lane << "\n        D[L] = " << Fn << "(Ra[L]);\n";
-      }
-    } else if (const char *Sp = binOpSpelling(I.Op)) {
-      DeclD();
-      DeclA();
-      DeclB();
-      if (isCmp(I.Op))
-        S << "      " << Lane << "\n        D[L] = Ra[L] " << Sp
-          << " Rb[L] ? 1.0 : 0.0;\n";
+      if (I.Op == BcOp::Pow)
+        emitLaneLoop(S, W, {{"a", I.A}, {"b", I.B}}, I.Dst,
+                     "\n        d[L] = " + std::string(Fn) +
+                         "(a[L], b[L]);\n");
       else
-        S << "      " << Lane << "\n        D[L] = Ra[L] " << Sp
-          << " Rb[L];\n";
+        emitLaneLoop(S, W, {{"a", I.A}}, I.Dst,
+                     "\n        d[L] = " + std::string(Fn) + "(a[L]);\n");
+    } else if (const char *Sp = binOpSpelling(I.Op)) {
+      S << "      " << D << " = " << Ra << " " << Sp << " " << Rb;
+      if (isCmp(I.Op))
+        S << " ? lone : lzero";
+      S << ";\n";
     }
     break;
   }
   if (needsBarrier(I.Op, C.Fast))
-    S << "      asm(\"\" : \"+m\"(*(double(*)[" << W << "])(R + "
-      << Base(I.Dst) << ")));\n";
+    S << "      LIMPET_PIN(" << D << ");\n";
   S << "    }\n";
   Out += S.str();
 }
@@ -831,28 +782,27 @@ void emitRunFunction(std::string &Out, const EmitCtx &C,
                      const std::string &FnName) {
   const BcProgram &P = C.P;
   const unsigned W = C.W;
-  size_t NumSlots = size_t(P.NumRegs) * W;
   Out += "static void " + FnName +
          "(const NativeKernelArgs &A, int64_t Begin, int64_t End) {\n";
-  Out += "  double R[" + std::to_string(NumSlots == 0 ? 1 : NumSlots) +
-         "];\n";
-  Out += "  for (size_t I = 0; I != " + std::to_string(NumSlots) +
-         "; ++I)\n    R[I] = 0.0;\n";
-  if (P.HasDt) {
-    if (W == 1)
+  if (W == 1) {
+    Out += "  double R[" + std::to_string(P.NumRegs == 0 ? 1 : P.NumRegs) +
+           "];\n";
+    Out += "  for (size_t I = 0; I != " + std::to_string(P.NumRegs) +
+           "; ++I)\n    R[I] = 0.0;\n";
+    if (P.HasDt)
       Out += "  R[" + std::to_string(P.DtReg) + "] = A.Dt;\n";
-    else
-      Out += "  for (int L = 0; L != " + std::to_string(W) +
-             "; ++L)\n    R[" + std::to_string(size_t(P.DtReg) * W) +
-             " + L] = A.Dt;\n";
-  }
-  if (P.HasT) {
-    if (W == 1)
+    if (P.HasT)
       Out += "  R[" + std::to_string(P.TReg) + "] = A.T;\n";
-    else
-      Out += "  for (int L = 0; L != " + std::to_string(W) +
-             "; ++L)\n    R[" + std::to_string(size_t(P.TReg) * W) +
-             " + L] = A.T;\n";
+  } else {
+    // The VM's zeroed register file, one vector value per register.
+    Out += "  const lv lzero = {}, lone = lsplat(1.0);\n";
+    for (unsigned Reg = 0; Reg != P.NumRegs; ++Reg)
+      Out += (Reg % 8 == 0 ? "  lv " : " ") + vreg(Reg) + " = {}" +
+             (Reg % 8 == 7 || Reg + 1 == P.NumRegs ? ";\n" : ",");
+    if (P.HasDt)
+      Out += "  " + vreg(P.DtReg) + " = lsplat(A.Dt);\n";
+    if (P.HasT)
+      Out += "  " + vreg(P.TReg) + " = lsplat(A.T);\n";
   }
   // Prologue cell convention mirrors the engines: the scalar flavour runs
   // it at cell 0, the vector flavour at the range start (lane-uniform
@@ -882,6 +832,42 @@ void emitRunFunction(std::string &Out, const EmitCtx &C,
   Out += "}\n\n";
 }
 
+/// The vector flavour's types and helpers: `lv` holds one register's W
+/// lanes, and LIMPET_PIN is the value barrier (file header, point 2),
+/// held in a SIMD register whenever one is wide enough for `lv`.
+std::string vectorPreamble(unsigned W) {
+  std::string Bytes = std::to_string(8 * W);
+  std::string S;
+  S += "typedef double lv __attribute__((vector_size(" + Bytes + ")));\n";
+  S += "typedef long long lvi __attribute__((vector_size(" + Bytes +
+       ")));\n\n";
+  S += "inline lv lsplat(double X) { return lv{";
+  for (unsigned L = 0; L != W; ++L)
+    S += L ? ", X" : "X";
+  S += "}; }\n\n";
+  S += "#if defined(__AVX512F__)\n"
+       "#define LIMPET_VREG_BYTES 64\n"
+       "#elif defined(__AVX__)\n"
+       "#define LIMPET_VREG_BYTES 32\n"
+       "#elif defined(__SSE2__) || defined(__aarch64__)\n"
+       "#define LIMPET_VREG_BYTES 16\n"
+       "#else\n"
+       "#define LIMPET_VREG_BYTES 0\n"
+       "#endif\n"
+       "#if (defined(__x86_64__) || defined(__i386__)) && " +
+       Bytes +
+       " <= LIMPET_VREG_BYTES\n"
+       "#define LIMPET_PIN(X) asm(\"\" : \"+v\"(X))\n"
+       "#elif defined(__aarch64__) && " +
+       Bytes +
+       " <= LIMPET_VREG_BYTES\n"
+       "#define LIMPET_PIN(X) asm(\"\" : \"+w\"(X))\n"
+       "#else\n"
+       "#define LIMPET_PIN(X) asm(\"\" : \"+m\"(X))\n"
+       "#endif\n\n";
+  return S;
+}
+
 } // namespace
 
 std::string compiler::emitKernelSource(const exec::CompiledModel &M,
@@ -906,7 +892,6 @@ std::string compiler::emitKernelSource(const exec::CompiledModel &M,
     S += kVecMathSource;
     S += "\n";
   }
-  S += "#define LIMPET_RESTRICT __restrict\n\n";
   S += "namespace {\n\n";
   // C ABI mirror of exec::NativeKernel.h — bump the ABI version there if
   // these ever change.
@@ -937,6 +922,7 @@ std::string compiler::emitKernelSource(const exec::CompiledModel &M,
        "}\n\n";
 
   if (W > 1) {
+    S += vectorPreamble(W);
     EmitCtx Main{P, Fast, W};
     emitRunFunction(S, Main, "limpet_run_main");
   }

@@ -12,6 +12,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "compiler/Artifact.h"
 #include "compiler/CompileCache.h"
 #include "compiler/CompilerDriver.h"
 #include "compiler/KernelEmitter.h"
@@ -21,12 +22,15 @@
 #include "models/Registry.h"
 #include "sim/Simulator.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <functional>
 #include <gtest/gtest.h>
+#include <set>
 
 using namespace limpet;
 using namespace limpet::exec;
@@ -71,9 +75,13 @@ compiler::CompileResult compileWithTier(const std::string &ModelName,
 }
 
 /// Steps both models over identical state/external/param buffers and
-/// requires byte-identical state arrays afterwards.
-void expectBitIdentical(const CompiledModel &VM, const CompiledModel &Native,
-                        int64_t NumCells, int64_t Steps) {
+/// requires byte-identical state arrays afterwards. With \p ExtInit,
+/// external \p E of cell \p C starts at ExtInit(E, C) instead of the
+/// model's uniform init.
+void expectBitIdentical(
+    const CompiledModel &VM, const CompiledModel &Native, int64_t NumCells,
+    int64_t Steps,
+    const std::function<double(size_t, int64_t)> &ExtInit = nullptr) {
   ASSERT_FALSE(VM.usingNativeTier());
   ASSERT_TRUE(Native.usingNativeTier());
   size_t N = VM.stateArraySize(NumCells);
@@ -84,9 +92,12 @@ void expectBitIdentical(const CompiledModel &VM, const CompiledModel &Native,
   // Each external is a per-cell array: Exts[i] is indexed by cell.
   std::vector<double> Inits = VM.externalInits();
   std::vector<std::vector<double>> ExtA, ExtB;
-  for (double Init : Inits) {
-    ExtA.emplace_back(size_t(NumCells), Init);
-    ExtB.emplace_back(size_t(NumCells), Init);
+  for (size_t E = 0; E != Inits.size(); ++E) {
+    ExtA.emplace_back(size_t(NumCells), Inits[E]);
+    if (ExtInit)
+      for (int64_t C = 0; C != NumCells; ++C)
+        ExtA.back()[size_t(C)] = ExtInit(E, C);
+    ExtB.push_back(ExtA.back());
   }
   std::vector<double> Params = VM.defaultParams();
 
@@ -111,7 +122,11 @@ void expectBitIdentical(const CompiledModel &VM, const CompiledModel &Native,
   }
   ASSERT_EQ(std::memcmp(SA.data(), SB.data(), N * sizeof(double)), 0)
       << "native state diverged from the VM";
-  ASSERT_EQ(ExtA, ExtB);
+  for (size_t E = 0; E != ExtA.size(); ++E)
+    ASSERT_EQ(std::memcmp(ExtA[E].data(), ExtB[E].data(),
+                          ExtA[E].size() * sizeof(double)),
+              0)
+        << "native external " << E << " diverged from the VM";
 }
 
 struct LayoutPoint {
@@ -131,6 +146,8 @@ TEST_P(NativeKernelEquivalence, BitIdenticalToVM) {
   compiler::clearNativeKernelRegistry();
 
   const LayoutPoint &P = GetParam();
+  if (!BackendRegistry::global().supportsWidth(P.Width))
+    GTEST_SKIP() << "width " << P.Width << " is not in this host's registry";
   EngineConfig Cfg;
   Cfg.Width = P.Width;
   Cfg.Layout = P.Layout;
@@ -145,7 +162,7 @@ TEST_P(NativeKernelEquivalence, BitIdenticalToVM) {
   ASSERT_TRUE(Native) << Native.Err.message();
   ASSERT_TRUE(Native.NativeAttached) << Native.NativeErr.message();
 
-  // 37 cells: not a multiple of 2/4/8, so vector mains + scalar tails
+  // 37 cells: not a multiple of 2/4/8/16, so vector mains + scalar tails
   // both run and must agree with the VM's identical split.
   expectBitIdentical(*VM.Model, *Native.Model, 37, 25);
 }
@@ -154,13 +171,222 @@ INSTANTIATE_TEST_SUITE_P(
     LayoutsAndWidths, NativeKernelEquivalence,
     ::testing::Values(
         LayoutPoint{"scalar_aos_libm", 1, codegen::StateLayout::AoS, false},
+        LayoutPoint{"vec2_aosoa_fast", 2, codegen::StateLayout::AoSoA, true},
         LayoutPoint{"vec4_aosoa_fast", 4, codegen::StateLayout::AoSoA, true},
         LayoutPoint{"vec8_aosoa_fast", 8, codegen::StateLayout::AoSoA, true},
         LayoutPoint{"vec4_soa_fast", 4, codegen::StateLayout::SoA, true},
-        LayoutPoint{"vec4_aos_libm", 4, codegen::StateLayout::AoS, false}),
+        LayoutPoint{"vec4_aos_libm", 4, codegen::StateLayout::AoS, false},
+        // Wider than any host register: the value barrier's memory form.
+        LayoutPoint{"vec16_aosoa_fast", 16, codegen::StateLayout::AoSoA,
+                    true}),
     [](const ::testing::TestParamInfo<LayoutPoint> &I) {
       return I.param.Name;
     });
+
+//===----------------------------------------------------------------------===//
+// Lane-mix differential: a different value in every lane
+//===----------------------------------------------------------------------===//
+
+/// Emits every bytecode op an EasyML model can reach, on per-lane state:
+/// with LUTs on the gates of Vm become table lookups and the math calls
+/// on the states stay in the body; with LUTs off the gates' exp/tanh/pow
+/// come back. Rem, Min and Max have no EasyML producer, so
+/// spliceRemMinMax adds them to the compiled program.
+constexpr const char kOpMixSrc[] = R"EML(
+Vm; .external(); .nodal(); .lookup(-100, 100, 0.05);
+Iion; .external(); .nodal();
+Vm_init = -80.0;
+
+group{ gA = 0.5; gB = 0.02; EA = 20.0; }.param();
+
+a_inf = 1.0/(1.0+exp(-(Vm+40.0)/8.0));
+tau_a = 2.0 + 3.0*exp(-square((Vm+50.0)/20.0));
+b_inf = 0.5*(1.0 + tanh((Vm+20.0)/15.0));
+tau_b = 5.0 + pow(cosh((Vm+30.0)/40.0), -2.0);
+diff_a = (a_inf - a)/tau_a;
+diff_b = (b_inf - b)/tau_b;
+a_init = 0.2; b_init = 0.7;
+
+u = 0.5*a + 0.25;
+g_trig = sin(u) + cos(b) + tan(0.5*u) + sinh(b) + cosh(a);
+g_inv = atan(a - b) + asin(0.8*u) + acos(0.8*b);
+g_log = log(1.0 + a) + log10(1.5 + b) + sqrt(a + b) + expm1(-a);
+g_round = floor(4.0*a) + ceil(4.0*b) + fabs(a - b);
+sel1 = (a <= b && b >= 0.1) ? 1.0 : 0.5;
+sel2 = (a == b || a != 0.3) ? 2.0 : 3.0;
+sel3 = !(a > b || b < 0.05) ? 0.25 : 0.75;
+Iion = gA*a*(Vm - EA)
+       + gB*(g_trig + g_inv + g_log + g_round + sel1 + sel2 + sel3);
+)EML";
+
+/// Appends `Iion += max(min(fmod(Vm, 7.5), s0), -s0)` to \p P's body, on
+/// fresh registers, so the three ops run on per-lane values and land in
+/// a compared output.
+void spliceRemMinMax(BcProgram &P, int32_t VmExt, int32_t IionExt) {
+  auto Reg = [&P] { return uint16_t(P.NumRegs++); };
+  auto Emit = [&P](BcOp Op, uint16_t Dst, uint16_t A = 0, uint16_t B = 0,
+                   int32_t Aux = 0, double Imm = 0) {
+    BcInstr I{Op};
+    I.Dst = Dst;
+    I.A = A;
+    I.B = B;
+    I.Aux = Aux;
+    I.Imm = Imm;
+    P.Body.push_back(I);
+  };
+  uint16_t Vm = Reg(), S0 = Reg(), K = Reg(), NegS0 = Reg(), Rem = Reg(),
+           Min = Reg(), Max = Reg(), Iion = Reg(), Sum = Reg();
+  Emit(BcOp::LoadExt, Vm, 0, 0, VmExt);
+  Emit(BcOp::LoadState, S0, 0, 0, 0);
+  Emit(BcOp::ConstF, K, 0, 0, 0, 7.5);
+  Emit(BcOp::Neg, NegS0, S0);
+  Emit(BcOp::Rem, Rem, Vm, K);
+  Emit(BcOp::Min, Min, Rem, S0);
+  Emit(BcOp::Max, Max, Min, NegS0);
+  Emit(BcOp::LoadExt, Iion, 0, 0, IionExt);
+  Emit(BcOp::Add, Sum, Iion, Max);
+  BcInstr Store{BcOp::StoreExt};
+  Store.A = Sum;
+  Store.Aux = IionExt;
+  P.Body.push_back(Store);
+}
+
+/// LUTs on, off, and on with cubic interpolation.
+constexpr struct {
+  bool Luts, Cubic;
+} kLaneMixConfigs[] = {{true, false}, {false, false}, {true, true}};
+
+/// 61 cells: one ragged tail at every width, and room to sweep Vm.
+constexpr int64_t kLaneMixCells = 61;
+
+/// Vm of cell \p C: a permutation of 61 points from 10% of the span below
+/// the Vm tables' range to 10% above it, so neighbouring lanes read
+/// far-apart rows and every table's clamps are hit. The inputs keep every
+/// result finite (NaN payload signs are outside the VM's contract).
+double laneMixVm(const easyml::ModelInfo &Info, int64_t C) {
+  double Lo = HUGE_VAL, Hi = -HUGE_VAL;
+  for (const easyml::LutSpec &T : Info.Luts)
+    if (T.VarName == "Vm") {
+      Lo = std::min(Lo, T.Lo);
+      Hi = std::max(Hi, T.Hi);
+    }
+  if (Lo > Hi) { // no Vm table (LUT-less source): a physiological range
+    Lo = -100;
+    Hi = 100;
+  }
+  double Span = Hi - Lo;
+  int64_t K = C * 37 % kLaneMixCells;
+  return Lo - 0.1 * Span + 1.2 * Span * double(K) / double(kLaneMixCells - 1);
+}
+
+/// Compiles \p Source for the VM under \p Cfg, optionally splices in
+/// Rem/Min/Max, attaches a native kernel emitted from that exact program
+/// to a second copy, and steps both with a per-cell Vm sweep. Adds the
+/// program's opcodes to \p Ops.
+void expectLaneMixBitIdentical(const std::string &Name,
+                               const std::string &Source,
+                               const EngineConfig &Cfg, bool Splice,
+                               std::set<BcOp> &Ops) {
+  SCOPED_TRACE(Name + " " + engineConfigName(Cfg));
+  compiler::DriverOptions Opts;
+  Opts.Config = Cfg;
+  Opts.UseCache = false;
+  compiler::CompileResult R =
+      compiler::CompilerDriver(Opts).compileSource(Name, Source);
+  ASSERT_TRUE(R) << R.Err.message();
+  const easyml::ModelInfo &Info = R.Model->info();
+  int VmExt = Info.externalIndex("Vm"), IionExt = Info.externalIndex("Iion");
+  ASSERT_GE(VmExt, 0);
+
+  BcProgram P = R.Model->program();
+  if (Splice) {
+    ASSERT_GE(IionExt, 0);
+    spliceRemMinMax(P, VmExt, IionExt);
+  }
+  for (const std::vector<BcInstr> *Part : {&P.Prologue, &P.Body})
+    for (const BcInstr &I : *Part)
+      Ops.insert(I.Op);
+
+  auto Assemble = [&] {
+    // The artifact-load shape: the kernel's program and options, no IR.
+    codegen::GeneratedKernel K;
+    K.Program = R.Model->kernel().Program;
+    K.Options = R.Model->kernel().Options;
+    std::string Err;
+    std::optional<CompiledModel> M = CompiledModel::fromParts(
+        std::move(K), P, R.Model->luts(), Cfg, &Err);
+    EXPECT_TRUE(M) << Err;
+    return M;
+  };
+  std::optional<CompiledModel> VM = Assemble(), Native = Assemble();
+  ASSERT_TRUE(VM && Native);
+  compiler::NativeAttachResult K = compiler::getOrEmitNativeKernel(
+      *Native, compiler::fnv1a64(P.str(), R.CacheKey), Name);
+  ASSERT_TRUE(K) << K.Err.message();
+  Native->attachNative(K.Kernel);
+
+  expectBitIdentical(*VM, *Native, kLaneMixCells, 20,
+                     [&](size_t E, int64_t C) {
+                       return int(E) == VmExt ? laneMixVm(Info, C)
+                                              : VM->externalInits()[E];
+                     });
+}
+
+/// Runs the lane-mix differential for the op-mix model and \p Models
+/// under every kLaneMixConfigs entry at the benchmark's vec8/AoSoA/
+/// fast-math point; returns the union of the opcodes the programs contain.
+std::set<BcOp> runLaneMix(const std::vector<std::string> &Models) {
+  std::set<BcOp> Ops;
+  for (const auto &LC : kLaneMixConfigs) {
+    EngineConfig Cfg = EngineConfig::limpetMLIR(8);
+    Cfg.EnableLuts = LC.Luts;
+    Cfg.CubicLut = LC.Cubic;
+    expectLaneMixBitIdentical("OpMix", kOpMixSrc, Cfg, /*Splice=*/true, Ops);
+    // The lane loops' libm flavour and AoS gathers, on the same model.
+    EngineConfig Libm = Cfg;
+    Libm.Width = 4;
+    Libm.Layout = codegen::StateLayout::AoS;
+    Libm.FastMath = false;
+    expectLaneMixBitIdentical("OpMix", kOpMixSrc, Libm, /*Splice=*/true,
+                              Ops);
+    for (const std::string &M : Models) {
+      const models::ModelEntry *E = models::findModel(M);
+      EXPECT_NE(E, nullptr) << M;
+      if (E)
+        expectLaneMixBitIdentical(M, E->Source, Cfg,
+                                  /*Splice=*/false, Ops);
+    }
+  }
+  return Ops;
+}
+
+TEST(NativeKernelLaneMix, BitIdenticalToVMOnEveryOp) {
+  if (!toolchainAvailable())
+    GTEST_SKIP() << "no native toolchain on this box";
+  ScratchCacheDir Scratch;
+  compiler::clearNativeKernelRegistry();
+
+  std::set<BcOp> Ops = runLaneMix({"HodgkinHuxley", "Courtemanche"});
+  // Every opcode must have run with distinct lanes somewhere above.
+  for (unsigned Op = 0; Op <= unsigned(BcOp::LutInterpCubic); ++Op)
+    EXPECT_TRUE(Ops.count(BcOp(Op))) << bcOpName(BcOp(Op)) << " not covered";
+}
+
+// The same differential over the whole registry; too slow for tier-1 (43
+// models x 3 configs of cc), so CI runs it explicitly with
+// --gtest_also_run_disabled_tests.
+TEST(NativeKernelLaneMix, DISABLED_All43Models) {
+  if (!toolchainAvailable())
+    GTEST_SKIP() << "no native toolchain on this box";
+  ScratchCacheDir Scratch;
+  compiler::clearNativeKernelRegistry();
+
+  std::vector<std::string> Names;
+  for (const models::ModelEntry &E : models::modelRegistry())
+    Names.push_back(E.Name);
+  ASSERT_EQ(Names.size(), 43u);
+  runLaneMix(Names);
+}
 
 TEST(NativeKernelKey, SeparatesEmitterVersionAndToolchain) {
   compiler::NativeToolchain TC;
