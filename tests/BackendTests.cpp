@@ -150,9 +150,12 @@ std::vector<double> stepOnce(const CompiledModel &M, int64_t Cells,
   return Out;
 }
 
+// Pad is zeroed in place of padding: the ctest name is gtest's byte print
+// of the parameter (see WidthLayoutCase in EngineTests.cpp).
 struct DispatchCase {
   unsigned Width;
   StateLayout Layout;
+  uint8_t Pad[3] = {};
 };
 
 class BackendDispatch : public ::testing::TestWithParam<DispatchCase> {};
@@ -161,7 +164,8 @@ class BackendDispatch : public ::testing::TestWithParam<DispatchCase> {};
 /// bit-identical to stepping the aligned main and the ragged tail as
 /// separate chunks — i.e. the epilogue split changes nothing.
 TEST_P(BackendDispatch, RaggedRangeEqualsSplitChunks) {
-  auto [Width, Layout] = GetParam();
+  const unsigned Width = GetParam().Width;
+  const StateLayout Layout = GetParam().Layout;
   easyml::ModelInfo Info = testInfo();
   EngineConfig Cfg = EngineConfig::limpetMLIR(Width);
   Cfg.Layout = Layout;
@@ -181,7 +185,8 @@ TEST_P(BackendDispatch, RaggedRangeEqualsSplitChunks) {
 /// runKernel is a thin shim over the same backend the model resolved at
 /// compile time; both entry points must agree bit-for-bit.
 TEST_P(BackendDispatch, RunKernelShimMatchesCompiledModelStep) {
-  auto [Width, Layout] = GetParam();
+  const unsigned Width = GetParam().Width;
+  const StateLayout Layout = GetParam().Layout;
   easyml::ModelInfo Info = testInfo();
   EngineConfig Cfg = EngineConfig::limpetMLIR(Width);
   Cfg.Layout = Layout;

@@ -74,16 +74,21 @@ void expectClose(const std::vector<double> &A, const std::vector<double> &B,
         << What << " element " << I;
 }
 
+// gtest prints a parameter without operator<< as its raw bytes, and
+// gtest_discover_tests puts that print in the ctest name. Pad fills what
+// would be padding, so no indeterminate byte reaches the name.
 struct WidthLayoutCase {
   unsigned Width;
   StateLayout Layout;
+  uint8_t Pad[3] = {};
 };
 
 class EngineEquivalence
     : public ::testing::TestWithParam<WidthLayoutCase> {};
 
 TEST_P(EngineEquivalence, MatchesScalarBaseline) {
-  auto [Width, Layout] = GetParam();
+  const unsigned Width = GetParam().Width;
+  const StateLayout Layout = GetParam().Layout;
   easyml::ModelInfo Info = testInfo();
 
   auto Base = CompiledModel::compile(Info, EngineConfig::baseline());

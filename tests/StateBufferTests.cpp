@@ -75,8 +75,11 @@ TEST(StateBuffer, InitializedToModelInits) {
                                         Buf.numCells(), Buf.blockWidth()))]));
 }
 
+// Pad is zeroed in place of padding: the ctest name is gtest's byte print
+// of the parameter (see WidthLayoutCase in EngineTests.cpp).
 struct RepackCase {
   StateLayout Layout;
+  uint8_t Pad[3] = {};
   unsigned Width;
 };
 
@@ -104,10 +107,11 @@ TEST_P(StateBufferRepack, RoundTripPreservesEveryCell) {
 INSTANTIATE_TEST_SUITE_P(
     LayoutsWidthsAndRaggedTails, StateBufferRepack,
     ::testing::Combine(
-        ::testing::Values(RepackCase{StateLayout::SoA, 1},
-                          RepackCase{StateLayout::AoSoA, 2},
-                          RepackCase{StateLayout::AoSoA, 4},
-                          RepackCase{StateLayout::AoSoA, 8}),
+        ::testing::Values(
+            RepackCase{.Layout = StateLayout::SoA, .Width = 1},
+            RepackCase{.Layout = StateLayout::AoSoA, .Width = 2},
+            RepackCase{.Layout = StateLayout::AoSoA, .Width = 4},
+            RepackCase{.Layout = StateLayout::AoSoA, .Width = 8}),
         // 33 and 7 leave ragged NumCells % W tails for every width.
         ::testing::Values(int64_t(32), int64_t(33), int64_t(7))));
 
