@@ -5,6 +5,7 @@
 #include "support/Telemetry.h"
 
 #include <cassert>
+#include <chrono>
 #include <cstdlib>
 
 #if defined(__linux__)
@@ -45,9 +46,47 @@ void pinWorkerThread(unsigned WorkerIndex) {
 #endif
 }
 
+/// How long a waiter polls before it parks: enough to cover the gap
+/// between back-to-back stages of one step, short enough that an idle
+/// pool goes quiet at once.
+constexpr std::chrono::microseconds kSpinFor{50};
+
+inline void cpuRelax() {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_ia32_pause();
+#elif defined(__aarch64__)
+  asm volatile("yield");
+#endif
+}
+
+/// Waits until \p Ready holds for \p Word's value: polls for kSpinFor
+/// when \p Spin, then parks on the word (a futex wait on Linux). The poll
+/// yields between short pause bursts: the thread that will signal may
+/// share this CPU, and a pure pause loop would hold the CPU against it
+/// for the whole kSpinFor, which doubles the step time of a 2-thread
+/// smoke-scale tissue run.
+template <typename Pred>
+void spinThenPark(const std::atomic<uint32_t> &Word, bool Spin, Pred Ready) {
+  if (Spin) {
+    auto Until = std::chrono::steady_clock::now() + kSpinFor;
+    do {
+      for (int I = 0; I != 8; ++I) {
+        if (Ready(Word.load(std::memory_order_acquire)))
+          return;
+        cpuRelax();
+      }
+      std::this_thread::yield();
+    } while (std::chrono::steady_clock::now() < Until);
+  }
+  for (uint32_t V; !Ready(V = Word.load(std::memory_order_acquire));)
+    Word.wait(V, std::memory_order_acquire);
+}
+
 } // namespace
 
-ThreadPool::ThreadPool(unsigned MaxThreads) {
+ThreadPool::ThreadPool(unsigned MaxThreads)
+    : Slots(std::make_unique<Slot[]>(MaxThreads)),
+      SpinThreads(std::thread::hardware_concurrency()) {
   assert(MaxThreads >= 1 && "pool needs at least the calling thread");
   bool Pin = pinningRequested();
   for (unsigned I = 1; I < MaxThreads; ++I)
@@ -59,11 +98,11 @@ ThreadPool::ThreadPool(unsigned MaxThreads) {
 }
 
 ThreadPool::~ThreadPool() {
-  {
-    std::lock_guard<std::mutex> Lock(Mutex);
-    ShuttingDown = true;
+  ShuttingDown.store(true, std::memory_order_release);
+  for (unsigned I = 1; I <= Workers.size(); ++I) {
+    Slots[I].Ticket.fetch_add(1, std::memory_order_release);
+    Slots[I].Ticket.notify_one();
   }
-  WakeWorkers.notify_all();
   for (std::thread &W : Workers)
     W.join();
 }
@@ -107,53 +146,48 @@ void ThreadPool::parallelFor(int64_t Begin, int64_t End, unsigned NumThreads,
   // barrier so a second caller never observes a half-finished dispatch.
   std::lock_guard<std::mutex> Submit(SubmitMutex);
 
-  {
-    std::lock_guard<std::mutex> Lock(Mutex);
-    Current.Fn = &Fn;
-    Current.Begin = Begin;
-    Current.End = End;
-    Current.NumThreads = NumThreads;
-    Current.Generation = ++Generation;
-    // Workers 1..NumThreads-1 participate; the caller runs chunk 0.
-    Remaining = NumThreads - 1;
+  // Workers 1..NumThreads-1 participate; the caller runs chunk 0. The
+  // release on each ticket publishes Current and Pending to its worker.
+  Current = {&Fn, Begin, End, NumThreads};
+  Pending.store(NumThreads - 1, std::memory_order_relaxed);
+  for (unsigned I = 1; I != NumThreads; ++I) {
+    Slots[I].Ticket.fetch_add(1, std::memory_order_release);
+    Slots[I].Ticket.notify_one();
   }
-  WakeWorkers.notify_all();
 
   int64_t ChunkBegin, ChunkEnd;
   staticChunk(Begin, End, 0, NumThreads, ChunkBegin, ChunkEnd);
   if (ChunkEnd > ChunkBegin)
     Fn(ChunkBegin, ChunkEnd);
 
-  std::unique_lock<std::mutex> Lock(Mutex);
-  Done.wait(Lock, [this] { return Remaining == 0; });
+  spinThenPark(Pending, NumThreads <= SpinThreads,
+               [](uint32_t Left) { return Left == 0; });
 }
 
 void ThreadPool::workerMain(unsigned WorkerIndex) {
-  uint64_t SeenGeneration = 0;
+  const std::atomic<uint32_t> &Ticket = Slots[WorkerIndex].Ticket;
+  uint32_t Seen = 0;
+  // Whether the last task fitted in the CPUs, so that waiting for the
+  // next one may spin.
+  bool Spin = false;
   while (true) {
-    Task Local;
-    {
-      std::unique_lock<std::mutex> Lock(Mutex);
-      WakeWorkers.wait(Lock, [&] {
-        return ShuttingDown ||
-               (Current.Generation != SeenGeneration &&
-                WorkerIndex < Current.NumThreads);
-      });
-      if (ShuttingDown)
-        return;
-      Local = Current;
-      SeenGeneration = Local.Generation;
-    }
+    spinThenPark(Ticket, Spin, [&](uint32_t T) { return T != Seen; });
+    // One bump per dispatch: the caller waits for this worker before it
+    // can bump again.
+    ++Seen;
+    if (ShuttingDown.load(std::memory_order_acquire))
+      return;
+    Task Local = Current;
+    Spin = Local.NumThreads <= SpinThreads;
     int64_t ChunkBegin, ChunkEnd;
     staticChunk(Local.Begin, Local.End, WorkerIndex, Local.NumThreads,
                 ChunkBegin, ChunkEnd);
     if (ChunkEnd > ChunkBegin)
       (*Local.Fn)(ChunkBegin, ChunkEnd);
-    {
-      std::lock_guard<std::mutex> Lock(Mutex);
-      --Remaining;
-    }
-    Done.notify_one();
+    // acq_rel: this worker's reads of Current happen before the next
+    // dispatch rewrites it.
+    if (Pending.fetch_sub(1, std::memory_order_acq_rel) == 1)
+      Pending.notify_one();
   }
 }
 

@@ -5,16 +5,20 @@
 // pool of workers executing contiguous chunks of [begin, end), with the
 // calling thread participating. The per-invocation synchronization cost is
 // intentionally real — the paper's small models are dominated by exactly
-// this overhead at high thread counts (Sec. 4.2).
+// this overhead at high thread counts (Sec. 4.2). The wait policy is
+// libgomp's default one: a fork-join wakes only the workers it uses, and
+// waiters spin briefly before parking, so back-to-back stages do not pay
+// a futex wake-up.
 //
 //===----------------------------------------------------------------------===//
 
 #ifndef LIMPET_RUNTIME_THREADPOOL_H
 #define LIMPET_RUNTIME_THREADPOOL_H
 
-#include <condition_variable>
+#include <atomic>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -34,6 +38,13 @@ using RangeFn = std::function<void(int64_t Begin, int64_t End)>;
 /// is unchanged, so the Scheduler's persistent shard-to-thread assignment
 /// still holds per caller. This is what lets limpetd multiplex many
 /// concurrent Simulators over the one shared pool.
+///
+/// Each worker parks on its own ticket word; a dispatch bumps the tickets
+/// of workers 1..NumThreads-1 only, and the last worker to finish wakes
+/// the caller. Waiters poll for a few tens of microseconds, yielding the
+/// CPU between polls, before they park, but only when the fork-join fits
+/// in the host's CPUs: an oversubscribed loop would spin on a CPU a chunk
+/// still needs.
 class ThreadPool {
 public:
   /// Creates a pool able to run up to \p MaxThreads-way parallel loops
@@ -63,22 +74,26 @@ private:
     const RangeFn *Fn = nullptr;
     int64_t Begin = 0, End = 0;
     unsigned NumThreads = 0;
-    uint64_t Generation = 0;
+  };
+  /// A worker's ticket, on its own cache line: bumped to hand the worker
+  /// the current task, and the word the worker parks on.
+  struct alignas(64) Slot {
+    std::atomic<uint32_t> Ticket{0};
   };
 
   void workerMain(unsigned WorkerIndex);
 
   std::vector<std::thread> Workers;
-  /// Serializes whole fork-joins from concurrent callers; the inner Mutex
-  /// only guards the task slot within one dispatch.
+  std::unique_ptr<Slot[]> Slots; ///< indexed by worker; slot 0 unused
+  /// Fork-joins up to this many threads wait by spinning first.
+  unsigned SpinThreads;
+  /// Serializes whole fork-joins from concurrent callers, and with them
+  /// every write of Current.
   std::mutex SubmitMutex;
-  std::mutex Mutex;
-  std::condition_variable WakeWorkers;
-  std::condition_variable Done;
   Task Current;
-  uint64_t Generation = 0;
-  unsigned Remaining = 0;
-  bool ShuttingDown = false;
+  /// Workers still running the current task.
+  std::atomic<uint32_t> Pending{0};
+  std::atomic<bool> ShuttingDown{false};
 };
 
 /// Process-wide pool sized for the bench sweeps (32 threads, matching the

@@ -2,6 +2,7 @@
 
 #include "runtime/ThreadPool.h"
 
+#include <algorithm>
 #include <atomic>
 #include <gtest/gtest.h>
 #include <numeric>
@@ -104,6 +105,53 @@ TEST(ThreadPool, MoreThreadsThanElements) {
   std::atomic<int64_t> Sum{0};
   Pool.parallelFor(0, 3, 8, [&](int64_t B, int64_t E) { Sum += E - B; });
   EXPECT_EQ(Sum.load(), 3);
+}
+
+TEST(ThreadPool, ChunkRunsOnTheSameWorkerEveryInvocation) {
+  ThreadPool Pool(4);
+  std::vector<std::thread::id> First(4), Now(4);
+  auto Record = [&](std::vector<std::thread::id> &Ids) {
+    Pool.parallelFor(0, 4, 4, [&](int64_t B, int64_t E) {
+      for (int64_t I = B; I != E; ++I)
+        Ids[size_t(I)] = std::this_thread::get_id();
+    });
+  };
+  Record(First);
+  EXPECT_EQ(First[0], std::this_thread::get_id());
+  for (int Round = 0; Round != 50; ++Round) {
+    // A narrower fork-join in between leaves workers 2 and 3 parked.
+    Pool.parallelFor(0, 2, 2, [](int64_t, int64_t) {});
+    Record(Now);
+    ASSERT_EQ(Now, First) << "round " << Round;
+  }
+}
+
+TEST(ThreadPool, ConcurrentCallersEachGetTheirFullRange) {
+  ThreadPool Pool(4);
+  std::atomic<int64_t> Total{0};
+  std::vector<std::thread> Callers;
+  for (unsigned C = 0; C != 3; ++C)
+    Callers.emplace_back([&, C] {
+      for (int Round = 0; Round != 100; ++Round)
+        Pool.parallelFor(0, 64, 2 + C % 3, [&](int64_t B, int64_t E) {
+          Total += E - B;
+        });
+    });
+  for (std::thread &T : Callers)
+    T.join();
+  EXPECT_EQ(Total.load(), 3 * 100 * 64);
+}
+
+TEST(ThreadPool, OversubscribedForkJoinCompletes) {
+  // Wider than the host's CPUs, so every waiter parks without spinning.
+  unsigned Wide = std::max(std::thread::hardware_concurrency(), 1u) + 2;
+  ThreadPool Pool(Wide);
+  std::atomic<int64_t> Total{0};
+  for (int Round = 0; Round != 20; ++Round)
+    Pool.parallelFor(0, 1000, Wide, [&](int64_t B, int64_t E) {
+      Total += E - B;
+    });
+  EXPECT_EQ(Total.load(), 20 * 1000);
 }
 
 TEST(ThreadPool, GlobalPoolProvides32Way) {
