@@ -372,6 +372,91 @@ TEST(NativeKernelLaneMix, BitIdenticalToVMOnEveryOp) {
     EXPECT_TRUE(Ops.count(BcOp(Op))) << bcOpName(BcOp(Op)) << " not covered";
 }
 
+/// The table shapes the vector flavour's LUT batches must get right
+/// (KernelEmitter.cpp header, point 3), each table with its own coord:
+///  - 9 columns on Vm: not a multiple of any width, and at W = 2, 4 and 8
+///    column 8 is the only used column of the last chunk, which starts at
+///    Cols - W;
+///  - 3 columns on the state y: narrower than W = 4, 8 and 16, which keep
+///    the lane loop.
+/// Every y column depends on y alone: LUT analysis would also tabulate an
+/// expression of y and a Vm column into the y table, whose build cannot
+/// evaluate the Vm column.
+constexpr const char kLutShapesSrc[] = R"EML(
+Vm; .external(); .nodal(); .lookup(-100, 100, 0.05);
+Iion; .external(); .nodal();
+Vm_init = -80.0;
+y; .lookup(0, 1, 0.005);
+y_init = 0.3;
+z_init = 0.6;
+
+a_inf = 1.0/(1.0 + exp(-(Vm + 40.0)/8.0));
+k_a = 1.0/(2.0 + 3.0*exp(-square((Vm + 50.0)/20.0)));
+b_inf = 0.5*(1.0 + tanh((Vm + 20.0)/15.0));
+k_b = 1.0/(5.0 + pow(cosh((Vm + 30.0)/40.0), -2.0));
+diff_y = (a_inf - y)*k_a;
+diff_z = (b_inf - z)*k_b + 0.1*y/(1.0 + y) - 0.05*z*exp(-y);
+
+Iion = y*exp(Vm/50.0) + z*sin(Vm/30.0) + y*z*cos(Vm/45.0)
+       + z/(1.0 + exp((Vm + 10.0)/12.0)) + y*atan(Vm/25.0) + sqrt(y)*z;
+)EML";
+
+/// Linear interpolations the vector flavour of \p Src reads from a LUT
+/// batch's column array (`rN = lcolM[c][j];`) instead of a lane loop.
+unsigned batchedInterps(const std::string &Src) {
+  const size_t End = Src.find("static void limpet_run_tail");
+  unsigned N = 0;
+  for (size_t At = Src.find(" = lcol"); At < End;
+       At = Src.find(" = lcol", At + 1))
+    ++N;
+  return N;
+}
+
+TEST(NativeKernelLaneMix, LutBatchEdgeShapes) {
+  if (!toolchainAvailable())
+    GTEST_SKIP() << "no native toolchain on this box";
+  ScratchCacheDir Scratch;
+  compiler::clearNativeKernelRegistry();
+
+  std::set<BcOp> Ops;
+  for (unsigned W : {2u, 4u, 8u, 16u}) {
+    if (!BackendRegistry::global().supportsWidth(W))
+      continue;
+    for (const auto &LC : kLaneMixConfigs) {
+      EngineConfig Cfg = EngineConfig::limpetMLIR(W);
+      Cfg.EnableLuts = LC.Luts;
+      Cfg.CubicLut = LC.Cubic;
+      expectLaneMixBitIdentical("LutShapes", kLutShapesSrc, Cfg,
+                                /*Splice=*/false, Ops);
+    }
+    // The shapes above take the batch exactly where they fit: both tables
+    // at W = 2, the Vm table at 4 and 8, neither at 16.
+    compiler::DriverOptions Opts;
+    Opts.Config = EngineConfig::limpetMLIR(W);
+    Opts.UseCache = false;
+    compiler::CompileResult R =
+        compiler::CompilerDriver(Opts).compileSource("LutShapes",
+                                                     kLutShapesSrc);
+    ASSERT_TRUE(R) << R.Err.message();
+    EXPECT_EQ(batchedInterps(
+                  compiler::emitKernelSource(*R.Model, "LutShapes", 0)),
+              W == 2 ? 12u : W == 16 ? 0u : 9u)
+        << "W=" << W;
+  }
+  EXPECT_TRUE(Ops.count(BcOp::LutInterp) && Ops.count(BcOp::LutInterpCubic));
+}
+
+TEST(NativeKernelLutBatch, LuoRudy94BatchesEveryInterpolation) {
+  // A silent fallback to lane loops would pass every differential test.
+  compiler::CompileResult R = compileWithTier(
+      "LuoRudy94", EngineConfig::limpetMLIR(8), EngineTier::VM);
+  ASSERT_TRUE(R) << R.Err.message();
+  ASSERT_EQ(R.Model->program().LutOpsPerCell, 32u);
+  EXPECT_EQ(
+      batchedInterps(compiler::emitKernelSource(*R.Model, "LuoRudy94", 0)),
+      32u);
+}
+
 // The same differential over the whole registry; too slow for tier-1 (43
 // models x 3 configs of cc), so CI runs it explicitly with
 // --gtest_also_run_disabled_tests.
