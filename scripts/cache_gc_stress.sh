@@ -27,7 +27,12 @@ trap 'rm -rf "$WORK"' EXIT
 
 fail() { echo "cache_gc_stress: FAIL: $*" >&2; exit 1; }
 
-dir_bytes() { du -sb "$1" | cut -f1; }
+# Bytes of the .lmpa artifacts, which the budget bounds (`du` would add
+# the directory's own entry).
+dir_bytes() {
+  find "$1" -maxdepth 1 -name '*.lmpa' -printf '%s\n' |
+    awk '{ s += $1 } END { print s + 0 }'
+}
 
 export LIMPET_CACHE_DIR="$WORK/cache"
 mkdir -p "$LIMPET_CACHE_DIR"
@@ -51,7 +56,7 @@ echo "cache_gc_stress: both concurrent suite writers exited 0"
 AFTER=$(dir_bytes "$LIMPET_CACHE_DIR")
 [ "$AFTER" -le "$BUDGET" ] \
   || fail "cache dir is $AFTER bytes, over the $BUDGET budget"
-COUNT=$(ls "$LIMPET_CACHE_DIR"/*.lmpa 2>/dev/null | wc -l)
+COUNT=$(find "$LIMPET_CACHE_DIR" -maxdepth 1 -name '*.lmpa' | wc -l)
 [ "$COUNT" -ge 1 ] || fail "eviction emptied the cache entirely"
 for f in "$LIMPET_CACHE_DIR"/*.lmpa; do
   "$LIMPETC" HodgkinHuxley --load-artifact "$f" --run --steps 5 --cells 8 \

@@ -3,6 +3,7 @@
 #include "bench/BenchHarness.h"
 
 #include "compiler/CompilerDriver.h"
+#include "exec/Backend.h"
 #include "easyml/Sema.h"
 #include "support/Casting.h"
 #include "support/StringUtils.h"
@@ -230,6 +231,7 @@ std::string BenchStat::json() const {
   std::string Out = "{\"bench\":" + jsonQuoted(Bench);
   Out += ",\"model\":" + jsonQuoted(Model);
   Out += ",\"config\":" + jsonQuoted(Config);
+  Out += ",\"isa\":" + jsonQuoted(BackendRegistry::global().isa());
   std::snprintf(Buf, sizeof Buf,
                 ",\"threads\":%u,\"cells\":%lld,\"steps\":%lld,"
                 "\"repeats\":%d,\"seconds\":%.9g",

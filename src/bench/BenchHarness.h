@@ -139,7 +139,9 @@ struct BenchStat {
   uint64_t CheckpointBytes = 0;
   uint64_t CheckpointNs = 0;
 
-  /// The record as one line of JSON (no trailing newline).
+  /// The record as one line of JSON (no trailing newline). It also names
+  /// the host ISA the process's backend registry probed ("isa"), so a
+  /// baseline compare matches a record only with rows of its own ISA.
   std::string json() const;
 };
 

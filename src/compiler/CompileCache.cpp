@@ -5,6 +5,7 @@
 #include "support/Telemetry.h"
 
 #include <algorithm>
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -162,18 +163,22 @@ CompileCache::GcStats CompileCache::gcDiskTier(uint64_t MaxBytes) {
   if (MaxBytes == 0 || Stats.BytesBefore <= MaxBytes)
     return Stats;
 
-  // LRU by mtime: oldest entries go first. A removal that fails (another
-  // process evicted the same file) just moves on.
+  // LRU by mtime: oldest entries go first. A file another process's GC
+  // removed first is gone all the same, so its bytes count as freed;
+  // otherwise two concurrent GCs each evict the budget's excess and can
+  // empty the tier between them.
   std::sort(Entries.begin(), Entries.end(),
             [](const Entry &A, const Entry &B) { return A.MTime < B.MTime; });
   for (const Entry &E : Entries) {
     if (Stats.BytesAfter <= MaxBytes)
       break;
     if (std::remove(E.Path.c_str()) == 0) {
-      Stats.BytesAfter -= E.Size;
       ++Stats.FilesRemoved;
       telemetry::counter("compile.cache.evict").add(1);
+    } else if (errno != ENOENT) {
+      continue;
     }
+    Stats.BytesAfter -= E.Size;
   }
   return Stats;
 }

@@ -10,6 +10,7 @@
 
 #include "bench/BenchHarness.h"
 #include "easyml/Sema.h"
+#include "exec/Backend.h"
 #include "models/Registry.h"
 #include "runtime/ThreadPool.h"
 #include "sim/Simulator.h"
@@ -351,6 +352,9 @@ TEST(BenchStats, JsonRecordIsValid) {
   std::string Json = S.json();
   EXPECT_TRUE(isValidJson(Json)) << Json;
   EXPECT_NE(Json.find("\"model\":\"HodgkinHuxley\""), std::string::npos);
+  EXPECT_NE(Json.find("\"isa\":\"" + exec::BackendRegistry::global().isa() +
+                      "\""),
+            std::string::npos);
   EXPECT_NE(Json.find("\\\"test\\\""), std::string::npos);
   EXPECT_NE(Json.find("\"checkpoint_count\":7"), std::string::npos);
   EXPECT_NE(Json.find("\"checkpoint_bytes\":8192"), std::string::npos);
