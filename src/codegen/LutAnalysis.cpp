@@ -32,8 +32,13 @@ private:
   LutTablePlan &Plan;
   std::map<const Expr *, ExprPtr> Memo;
 
-  /// True if \p E mentions only the lookup variable and parameters.
+  /// True if \p E mentions only the lookup variable and parameters. A
+  /// column of an earlier table is a LutRef, which exprFreeVars does not
+  /// see, so it is rejected by hand: its value depends on that table's
+  /// lookup variable, not this one's.
   bool tabulatable(const Expr &E) {
+    if (containsLutRef(E))
+      return false;
     for (const std::string &V : exprFreeVars(E)) {
       if (V == Plan.Spec.VarName)
         continue;
@@ -42,6 +47,15 @@ private:
       return false;
     }
     return true;
+  }
+
+  static bool containsLutRef(const Expr &E) {
+    if (E.Kind == ExprKind::LutRef)
+      return true;
+    for (const ExprPtr &Op : E.Operands)
+      if (containsLutRef(*Op))
+        return true;
+    return false;
   }
 
   /// True when replacing \p E with an interpolation pays off: the paper's

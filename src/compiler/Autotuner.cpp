@@ -248,10 +248,9 @@ static int64_t envInt(const char *Name, int64_t Default) {
 
 TunePoint compiler::heuristicPoint(exec::EngineTier Tier) {
   const exec::BackendRegistry &Reg = exec::BackendRegistry::global();
-  // Two full native vectors in flight per block, clamped to the
-  // specialized template burns: scalar hosts stay scalar, SSE-class picks
-  // 4, AVX2-class and up pick 8. Wider VLA points must earn their keep
-  // through a measurement, never a guess.
+  // Two full native vectors in flight per block, clamped to width 8:
+  // scalar hosts stay scalar, SSE-class picks 4, AVX2-class and up pick
+  // 8. Width 16 must earn its keep through a measurement, never a guess.
   unsigned Target = Reg.maxLanes() > 1 ? std::min(Reg.maxLanes() * 2, 8u) : 1;
   unsigned W = 1;
   for (unsigned Cand : Reg.widths())

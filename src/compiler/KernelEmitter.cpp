@@ -3,13 +3,17 @@
 // Bit-identity with the VM is the whole contract here, so three details are
 // load-bearing:
 //
-//  1. The emitted statements textually mirror the interpreter's per-op
-//     expressions (exec/Engine.cpp) flavour-for-flavour — including the
-//     scalar engine's fmin/fmax vs the vector engine's ternary min/max,
-//     the prologue cell conventions (scalar: cell 0, vector: range
-//     start), and the fresh register file the scalar tail gets — and the
-//     TU is compiled with the same compiler and flag set as the host
-//     binary, so within-statement FP contraction decisions match.
+//  1. A pure op's statement prints the lane expression of its
+//     exec/BcOps.def entry, the same text the VM engines instantiate as
+//     C++, with its engine's form where the two engines differ (Min and
+//     Max). Only the layout and table ops (ConstF, the loads and stores,
+//     the LUT ops) are spelled here per flavour, mirroring exec/Engine.cpp
+//     along with the prologue cell conventions (scalar: cell 0, vector:
+//     range start) and the fresh register file the scalar tail gets; the
+//     LUT blend and cubic weights are runtime/VecMath.h's lutBlend and
+//     lutCubic, embedded in the TU. The TU is compiled with the same
+//     compiler and flag set as the host binary, so within-statement FP
+//     contraction decisions match.
 //
 //  2. The interpreter stores every result to memory through a *runtime*
 //     register index, which makes cross-instruction FMA contraction
@@ -19,12 +23,13 @@
 //     FMA under -O3 -march=native, diverging from the VM in the last ulp.
 //     The emitter therefore places an empty-asm value barrier after every
 //     instruction whose result could be an exposed multiply (Mul, and the
-//     inlined fast-math kernels): the product is rounded and opaque, as
-//     the interpreter's is. The vector flavour pins the value in a SIMD
-//     register (`asm("" : "+v"(r))` on x86, `"+w"` on AArch64); only where
-//     the vector is wider than the host's widest register (W=8 without
-//     AVX-512, W=16) does it fall back to `"+m"`, a round trip through
-//     memory — the only form the scalar flavour's register array uses.
+//     inlined fast-math kernels; BcOps.def's Pin column): the product is
+//     rounded and opaque, as the interpreter's is. The vector flavour
+//     pins the value in a SIMD register (`asm("" : "+v"(r))` on x86,
+//     `"+w"` on AArch64); only where the vector is wider than the host's
+//     widest register (W=8 without AVX-512, W=16) does it fall back to
+//     `"+m"`, a round trip through memory — the only form the scalar
+//     flavour's register array uses.
 //
 //  3. The vector flavour batches linear LUT interpolation. Each LutCoord
 //     is emitted together with every linear LutInterp of its table that
@@ -54,11 +59,11 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <cctype>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
-#include <initializer_list>
 #include <mutex>
 #include <sstream>
 #include <unordered_map>
@@ -340,120 +345,44 @@ std::string bitsLiteral(double V) {
   return Buf;
 }
 
-/// Math call spelling per flavour; mirrors MathOps<Fast> in Engine.cpp.
-/// Returns nullptr for ops that are not unary/binary math calls.
-const char *mathFnName(BcOp Op, bool Fast) {
-  switch (Op) {
-  case BcOp::Exp:
-    return Fast ? "limpet::vecmath::fastExp" : "std::exp";
-  case BcOp::Expm1:
-    return Fast ? "limpet::vecmath::fastExpm1" : "std::expm1";
-  case BcOp::Log:
-    return Fast ? "limpet::vecmath::fastLog" : "std::log";
-  case BcOp::Log10:
-    return Fast ? "limpet::vecmath::fastLog10" : "std::log10";
-  case BcOp::Pow:
-    return Fast ? "limpet::vecmath::fastPow" : "std::pow";
-  case BcOp::Sin:
-    return Fast ? "limpet::vecmath::fastSin" : "std::sin";
-  case BcOp::Cos:
-    return Fast ? "limpet::vecmath::fastCos" : "std::cos";
-  case BcOp::Tan:
-    return Fast ? "limpet::vecmath::fastTan" : "std::tan";
-  case BcOp::Tanh:
-    return Fast ? "limpet::vecmath::fastTanh" : "std::tanh";
-  case BcOp::Sinh:
-    return Fast ? "limpet::vecmath::fastSinh" : "std::sinh";
-  case BcOp::Cosh:
-    return Fast ? "limpet::vecmath::fastCosh" : "std::cosh";
-  case BcOp::Atan:
-    return Fast ? "limpet::vecmath::fastAtan" : "std::atan";
-  case BcOp::Asin:
-    return Fast ? "limpet::vecmath::fastAsin" : "std::asin";
-  case BcOp::Acos:
-    return Fast ? "limpet::vecmath::fastAcos" : "std::acos";
-  case BcOp::Sqrt:
-    return "std::sqrt";
-  case BcOp::Abs:
-    return "std::fabs";
-  case BcOp::Floor:
-    return "std::floor";
-  case BcOp::Ceil:
-    return "std::ceil";
-  default:
-    return nullptr;
-  }
-}
+/// The lane expressions of the pure ops (exec/BcOps.def), stringized: the
+/// scalar and vector engines' forms; null for the layout and table ops.
+struct LaneForms {
+  const char *Scalar;
+  const char *Vector;
+};
+constexpr LaneForms kLaneForms[] = {
+#define LANE(E) {#E, #E}
+#define LANE2(Scalar, Vector) {#Scalar, #Vector}
+#define BC_OP(...) {nullptr, nullptr},
+#define BC_PURE(Name, Mnemonic, From, Shape, Flops, Class, Pin, Lane) Lane,
+#include "exec/BcOps.def"
+#undef LANE
+#undef LANE2
+};
 
-const char *binOpSpelling(BcOp Op) {
-  switch (Op) {
-  case BcOp::Add:
-    return "+";
-  case BcOp::Sub:
-    return "-";
-  case BcOp::Mul:
-    return "*";
-  case BcOp::Div:
-    return "/";
-  case BcOp::CmpLT:
-    return "<";
-  case BcOp::CmpLE:
-    return "<=";
-  case BcOp::CmpGT:
-    return ">";
-  case BcOp::CmpGE:
-    return ">=";
-  case BcOp::CmpEQ:
-    return "==";
-  case BcOp::CmpNE:
-    return "!=";
-  default:
-    return nullptr;
+/// \p Expr with its operand names a, b and c replaced by \p A, \p B and
+/// \p C: an identifier token is replaced only when it is exactly one of
+/// them, so `std::fmod(a, b)` keeps its `std::fmod`.
+std::string laneExpr(std::string_view Expr, const std::string &A,
+                     const std::string &B, const std::string &C) {
+  auto IsWord = [](char Ch) {
+    return std::isalnum((unsigned char)Ch) || Ch == '_' || Ch == '.';
+  };
+  std::string Out;
+  for (size_t I = 0; I != Expr.size();) {
+    if (!IsWord(Expr[I])) {
+      Out += Expr[I++];
+      continue;
+    }
+    size_t J = I;
+    while (J != Expr.size() && IsWord(Expr[J]))
+      ++J;
+    std::string_view Tok = Expr.substr(I, J - I);
+    Out += Tok == "a" ? A : Tok == "b" ? B : Tok == "c" ? C : std::string(Tok);
+    I = J;
   }
-}
-
-bool isCmp(BcOp Op) {
-  switch (Op) {
-  case BcOp::CmpLT:
-  case BcOp::CmpLE:
-  case BcOp::CmpGT:
-  case BcOp::CmpGE:
-  case BcOp::CmpEQ:
-  case BcOp::CmpNE:
-    return true;
-  default:
-    return false;
-  }
-}
-
-/// True when the instruction's destination may hold an exposed multiply
-/// result in SSA form — the cross-statement FMA contraction hazard the
-/// value barriers exist to close. The libm calls are opaque to the
-/// optimizer, so only the inlined fast-math kernels join Mul here.
-bool needsBarrier(BcOp Op, bool Fast) {
-  if (Op == BcOp::Mul)
-    return true;
-  if (!Fast)
-    return false;
-  switch (Op) {
-  case BcOp::Exp:
-  case BcOp::Expm1:
-  case BcOp::Log:
-  case BcOp::Log10:
-  case BcOp::Pow:
-  case BcOp::Sin:
-  case BcOp::Cos:
-  case BcOp::Tan:
-  case BcOp::Tanh:
-  case BcOp::Sinh:
-  case BcOp::Cosh:
-  case BcOp::Atan:
-  case BcOp::Asin:
-  case BcOp::Acos:
-    return true;
-  default:
-    return false;
-  }
+  return Out;
 }
 
 struct EmitCtx {
@@ -553,9 +482,6 @@ void emitScalarInstr(std::string &Out, const BcInstr &I, const EmitCtx &C,
   case BcOp::ConstF:
     S << D << " = " << bitsLiteral(I.Imm) << ";";
     break;
-  case BcOp::Copy:
-    S << D << " = " << Ra << ";";
-    break;
   case BcOp::LoadState:
     S << D << " = A.State[" << stateIndexExpr(C, Cell, I.Aux) << "];";
     break;
@@ -570,33 +496,6 @@ void emitScalarInstr(std::string &Out, const BcInstr &I, const EmitCtx &C,
     break;
   case BcOp::LoadParam:
     S << D << " = A.Params[" << I.Aux << "];";
-    break;
-  case BcOp::Rem:
-    S << D << " = std::fmod(" << Ra << ", " << Rb << ");";
-    break;
-  case BcOp::Neg:
-    S << D << " = -" << Ra << ";";
-    break;
-  case BcOp::Min:
-    S << D << " = std::fmin(" << Ra << ", " << Rb << ");";
-    break;
-  case BcOp::Max:
-    S << D << " = std::fmax(" << Ra << ", " << Rb << ");";
-    break;
-  case BcOp::And:
-    S << D << " = (" << Ra << " != 0.0) && (" << Rb
-      << " != 0.0) ? 1.0 : 0.0;";
-    break;
-  case BcOp::Or:
-    S << D << " = (" << Ra << " != 0.0) || (" << Rb
-      << " != 0.0) ? 1.0 : 0.0;";
-    break;
-  case BcOp::Xor:
-    S << D << " = (" << Ra << " != 0.0) != (" << Rb
-      << " != 0.0) ? 1.0 : 0.0;";
-    break;
-  case BcOp::Select:
-    S << D << " = " << Ra << " != 0.0 ? " << Rb << " : " << Rc << ";";
     break;
   case BcOp::LutCoord:
     // Mirrors LutTable::coord: NaN clamps to 0 before the int64_t cast.
@@ -615,49 +514,31 @@ void emitScalarInstr(std::string &Out, const BcInstr &I, const EmitCtx &C,
     S << "{\n      const NativeLutDesc &Lt = A.Luts[" << I.Aux << "];\n"
       << "      const double *Row = Lt.Data + size_t(int64_t(" << Ra
       << ")) * Lt.Cols + " << I.Aux2 << ";\n"
-      << "      double Va = Row[0];\n"
-      << "      double Vb = Row[size_t(Lt.Cols)];\n"
-      << "      " << D << " = Va + " << Rb << " * (Vb - Va);\n"
+      << "      " << D
+      << " = limpet::vecmath::lutBlend(Row[0], Row[size_t(Lt.Cols)], " << Rb
+      << ");\n"
       << "    }";
     break;
   case BcOp::LutInterpCubic:
-    // Mirrors LutTable::interpCubic (four-point Lagrange).
+    // Mirrors LutTable::interpCubic.
     S << "{\n      const NativeLutDesc &Lt = A.Luts[" << I.Aux << "];\n"
       << "      int64_t Idx = int64_t(" << Ra << ");\n"
       << "      int64_t I0 = Idx > 0 ? Idx - 1 : 0;\n"
       << "      int64_t I3 = Idx + 2 < Lt.Rows ? Idx + 2 : Lt.Rows - 1;\n"
-      << "      double P0 = Lt.Data[size_t(I0) * Lt.Cols + " << I.Aux2
-      << "];\n"
-      << "      double P1 = Lt.Data[size_t(Idx) * Lt.Cols + " << I.Aux2
-      << "];\n"
-      << "      double P2 = Lt.Data[size_t(Idx + 1) * Lt.Cols + " << I.Aux2
-      << "];\n"
-      << "      double P3 = Lt.Data[size_t(I3) * Lt.Cols + " << I.Aux2
-      << "];\n"
-      << "      double Tf = " << Rb << ";\n"
-      << "      double W0 = -Tf * (Tf - 1.0) * (Tf - 2.0) * (1.0 / 6.0);\n"
-      << "      double W1 = (Tf + 1.0) * (Tf - 1.0) * (Tf - 2.0) * 0.5;\n"
-      << "      double W2 = -(Tf + 1.0) * Tf * (Tf - 2.0) * 0.5;\n"
-      << "      double W3 = (Tf + 1.0) * Tf * (Tf - 1.0) * (1.0 / 6.0);\n"
-      << "      " << D << " = W0 * P0 + W1 * P1 + W2 * P2 + W3 * P3;\n"
+      << "      " << D << " = limpet::vecmath::lutCubic(Lt.Data[size_t(I0) * "
+      << "Lt.Cols + " << I.Aux2 << "], Lt.Data[size_t(Idx) * Lt.Cols + "
+      << I.Aux2 << "], Lt.Data[size_t(Idx + 1) * Lt.Cols + " << I.Aux2
+      << "], Lt.Data[size_t(I3) * Lt.Cols + " << I.Aux2 << "], " << Rb
+      << ");\n"
       << "    }";
     break;
   default:
-    if (const char *Fn = mathFnName(I.Op, C.Fast)) {
-      if (I.Op == BcOp::Pow || I.Op == BcOp::Rem)
-        S << D << " = " << Fn << "(" << Ra << ", " << Rb << ");";
-      else
-        S << D << " = " << Fn << "(" << Ra << ");";
-    } else if (const char *Sp = binOpSpelling(I.Op)) {
-      if (isCmp(I.Op))
-        S << D << " = " << Ra << " " << Sp << " " << Rb << " ? 1.0 : 0.0;";
-      else
-        S << D << " = " << Ra << " " << Sp << " " << Rb << ";";
-    }
+    S << D << " = " << laneExpr(kLaneForms[size_t(I.Op)].Scalar, Ra, Rb, Rc)
+      << ";";
     break;
   }
   Out += S.str();
-  if (needsBarrier(I.Op, C.Fast))
+  if (bcOpInfo(I.Op).pinned(C.Fast))
     Out += "\n    asm(\"\" : \"+m\"(" + D + "));";
   Out += "\n";
 }
@@ -670,7 +551,7 @@ std::string vreg(unsigned Reg) { return "r" + std::to_string(Reg); }
 /// assigns `d[L]` from the inputs' lanes; the result is loaded back into
 /// \p Dst as one vector.
 void emitLaneLoop(std::ostringstream &S, unsigned W,
-                  std::initializer_list<std::pair<const char *, unsigned>> Ins,
+                  const std::vector<std::pair<const char *, unsigned>> &Ins,
                   unsigned Dst, const std::string &Body) {
   S << "      double d[" << W << "]";
   for (const auto &[Name, Reg] : Ins)
@@ -723,9 +604,6 @@ void emitVectorInstr(std::string &Out, const BcInstr &I, const EmitCtx &C,
   case BcOp::ConstF:
     S << "      " << D << " = lsplat(" << bitsLiteral(I.Imm) << ");\n";
     break;
-  case BcOp::Copy:
-    S << "      " << D << " = " << Ra << ";\n";
-    break;
   case BcOp::LoadState:
     if (C.P.Layout == codegen::StateLayout::AoS)
       emitLaneLoop(S, W, {}, I.Dst, "\n        d[L] = " + AosElem() + ";\n");
@@ -749,35 +627,6 @@ void emitVectorInstr(std::string &Out, const BcInstr &I, const EmitCtx &C,
     break;
   case BcOp::LoadParam:
     S << "      " << D << " = lsplat(A.Params[" << I.Aux << "]);\n";
-    break;
-  case BcOp::Rem:
-    emitLaneLoop(S, W, {{"a", I.A}, {"b", I.B}}, I.Dst,
-                 "\n        d[L] = std::fmod(a[L], b[L]);\n");
-    break;
-  case BcOp::Neg:
-    S << "      " << D << " = -" << Ra << ";\n";
-    break;
-  case BcOp::Min:
-    // The vector engine uses the ternary (not fmin): mirror it exactly,
-    // NaN behaviour included.
-    S << "      " << D << " = " << Ra << " < " << Rb << " ? " << Ra << " : "
-      << Rb << ";\n";
-    break;
-  case BcOp::Max:
-    S << "      " << D << " = " << Ra << " > " << Rb << " ? " << Ra << " : "
-      << Rb << ";\n";
-    break;
-  case BcOp::And:
-  case BcOp::Or:
-  case BcOp::Xor: {
-    const char *Sp = I.Op == BcOp::And ? "&" : I.Op == BcOp::Or ? "|" : "!=";
-    S << "      " << D << " = (" << Ra << " != lzero) " << Sp << " (" << Rb
-      << " != lzero) ? lone : lzero;\n";
-    break;
-  }
-  case BcOp::Select:
-    S << "      " << D << " = " << Ra << " != lzero ? " << Rb << " : " << Rc
-      << ";\n";
     break;
   case BcOp::LutCoord:
     // LutTable::coord on whole vectors. As in the VM's lane loop, the
@@ -817,9 +666,8 @@ void emitVectorInstr(std::string &Out, const BcInstr &I, const EmitCtx &C,
     emitLaneLoop(S, W, {{"a", I.A}, {"b", I.B}}, I.Dst,
                  " {\n"
                  "        int64_t Idx = int64_t(a[L]);\n"
-                 "        double Lo = Tab[Idx * Cols + " + Col + "];\n"
-                 "        double Hi = Tab[Idx * Cols + Cols + " + Col + "];\n"
-                 "        d[L] = Lo + b[L] * (Hi - Lo);\n"
+                 "        d[L] = limpet::vecmath::lutBlend(Tab[Idx * Cols + " +
+                     Col + "], Tab[Idx * Cols + Cols + " + Col + "], b[L]);\n"
                  "      }\n");
     break;
   case BcOp::LutInterpCubic:
@@ -832,36 +680,31 @@ void emitVectorInstr(std::string &Out, const BcInstr &I, const EmitCtx &C,
         "        int64_t Idx = int64_t(a[L]);\n"
         "        int64_t I0 = Idx > 0 ? Idx - 1 : 0;\n"
         "        int64_t I3 = Idx + 2 < LastRow + 1 ? Idx + 2 : LastRow;\n"
-        "        double P0 = Tab[I0 * Cols + " + Col + "];\n"
-        "        double P1 = Tab[Idx * Cols + " + Col + "];\n"
-        "        double P2 = Tab[(Idx + 1) * Cols + " + Col + "];\n"
-        "        double P3 = Tab[I3 * Cols + " + Col + "];\n"
-        "        double Tf = b[L];\n"
-        "        double W0 = -Tf * (Tf - 1.0) * (Tf - 2.0) * (1.0 / 6.0);\n"
-        "        double W1 = (Tf + 1.0) * (Tf - 1.0) * (Tf - 2.0) * 0.5;\n"
-        "        double W2 = -(Tf + 1.0) * Tf * (Tf - 2.0) * 0.5;\n"
-        "        double W3 = (Tf + 1.0) * Tf * (Tf - 1.0) * (1.0 / 6.0);\n"
-        "        d[L] = W0 * P0 + W1 * P1 + W2 * P2 + W3 * P3;\n"
+        "        d[L] = limpet::vecmath::lutCubic(Tab[I0 * Cols + " + Col +
+            "], Tab[Idx * Cols + " + Col + "], Tab[(Idx + 1) * Cols + " + Col +
+            "], Tab[I3 * Cols + " + Col + "], b[L]);\n"
         "      }\n");
     break;
-  default:
-    if (const char *Fn = mathFnName(I.Op, C.Fast)) {
-      if (I.Op == BcOp::Pow)
-        emitLaneLoop(S, W, {{"a", I.A}, {"b", I.B}}, I.Dst,
-                     "\n        d[L] = " + std::string(Fn) +
-                         "(a[L], b[L]);\n");
-      else
-        emitLaneLoop(S, W, {{"a", I.A}}, I.Dst,
-                     "\n        d[L] = " + std::string(Fn) + "(a[L]);\n");
-    } else if (const char *Sp = binOpSpelling(I.Op)) {
-      S << "      " << D << " = " << Ra << " " << Sp << " " << Rb;
-      if (isCmp(I.Op))
-        S << " ? lone : lzero";
-      S << ";\n";
+  default: {
+    // A pure op: one vector expression, or for library calls the VM's
+    // lane loop over local arrays.
+    const std::string_view Expr = kLaneForms[size_t(I.Op)].Vector;
+    const exec::BcOpInfo &Info = bcOpInfo(I.Op);
+    if (Info.Class != exec::BcClass::Call &&
+        Info.Class != exec::BcClass::Math) {
+      S << "      " << D << " = " << laneExpr(Expr, Ra, Rb, Rc) << ";\n";
+      break;
     }
+    std::vector<std::pair<const char *, unsigned>> Ins = {{"a", I.A}};
+    if (Info.uses(exec::bcfield::B))
+      Ins.push_back({"b", I.B});
+    emitLaneLoop(S, W, Ins, I.Dst,
+                 "\n        d[L] = " + laneExpr(Expr, "a[L]", "b[L]", "c[L]") +
+                     ";\n");
     break;
   }
-  if (needsBarrier(I.Op, C.Fast))
+  }
+  if (bcOpInfo(I.Op).pinned(C.Fast))
     S << "      LIMPET_PIN(" << D << ");\n";
   S << "    }\n";
   Out += S.str();
@@ -886,7 +729,7 @@ void emitRunFunction(std::string &Out, const EmitCtx &C,
       Out += "  R[" + std::to_string(P.TReg) + "] = A.T;\n";
   } else {
     // The VM's zeroed register file, one vector value per register.
-    Out += "  const lv lzero = {}, lone = lsplat(1.0);\n";
+    Out += "  const lv lzero = {};\n";
     for (unsigned Reg = 0; Reg != P.NumRegs; ++Reg)
       Out += (Reg % 8 == 0 ? "  lv " : " ") + vreg(Reg) + " = {}" +
              (Reg % 8 == 7 || Reg + 1 == P.NumRegs ? ";\n" : ",");
@@ -961,7 +804,7 @@ std::string vectorPreamble(unsigned W) {
        "  lv L, H;\n"
        "  __builtin_memcpy(&L, Lo, sizeof L);\n"
        "  __builtin_memcpy(&H, Hi, sizeof H);\n"
-       "  return L + F * (H - L);\n"
+       "  return limpet::vecmath::lutBlend(L, H, F);\n"
        "}\n\n";
   // ltranspose: log2(W) perfect shuffles on local values. Each stage
   // rotates the (row, column) bits of an element's position by one, so
@@ -1025,12 +868,11 @@ std::string compiler::emitKernelSource(const exec::CompiledModel &M,
   S += "// config: " + exec::engineConfigName(Cfg) + "\n";
   S += "// key: " + hex16(Key) + "\n";
   S += "#include <cmath>\n#include <cstdint>\n#include <cstring>\n\n";
-  if (Fast) {
-    // Self-contained copy of the VecMath kernels: the exact header the
-    // host was built with, so inlining and contraction match.
-    S += kVecMathSource;
-    S += "\n";
-  }
+  // Self-contained copy of the VecMath kernels and the arithmetic the VM
+  // shares with kernels: the exact header the host was built with, so
+  // inlining and contraction match.
+  S += kVecMathSource;
+  S += "\n";
   S += "namespace {\n\n";
   // C ABI mirror of exec::NativeKernel.h — bump the ABI version there if
   // these ever change.
@@ -1054,6 +896,8 @@ std::string compiler::emitKernelSource(const exec::CompiledModel &M,
        "  double T;\n"
        "  const NativeLutDesc *Luts;\n"
        "};\n\n";
+  S += std::string("using M = limpet::vecmath::MathOps<") +
+       (Fast ? "true" : "false") + ">;\n\n";
   S += "inline double lbits(unsigned long long B) {\n"
        "  double D;\n"
        "  std::memcpy(&D, &B, 8);\n"

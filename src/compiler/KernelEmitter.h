@@ -44,7 +44,7 @@ namespace compiler {
 
 /// Bump on any change to the emitted source shape or the kernel C ABI:
 /// stale cached .so files must miss, not load.
-inline constexpr uint32_t kKernelEmitterVersion = 3;
+inline constexpr uint32_t kKernelEmitterVersion = 4;
 
 /// The toolchain a native kernel is compiled with; part of its cache key.
 struct NativeToolchain {

@@ -98,15 +98,6 @@ JobState JobRunner::execute(Job &J) {
   compiler::CompileResult R = Driver.compileEntry(*Entry);
   if (!R)
     return fail(J, "compile failed: " + R.Err.message());
-  // The native tier degrades, never fails: a job asking for it on a box
-  // without a toolchain runs on the VM (bit-identical results), and the
-  // fallback is visible in telemetry rather than the job outcome.
-  if (J.Spec.Tier != exec::EngineTier::VM) {
-    telemetry::counter(R.NativeAttached ? "daemon.jobs.native"
-                                        : "daemon.jobs.native_fallback")
-        .add();
-  }
-
   std::string Dir = jobDir(J.Spec.Id);
   std::string CkptDir = Dir + "/ckpt";
   sim::CheckpointStore Store(CkptDir);
@@ -147,6 +138,7 @@ JobState JobRunner::execute(Job &J) {
   std::optional<sim::EnsembleModel> EMod;
   sim::EnsembleRunner *EnsSim = nullptr;
   std::unique_ptr<sim::Simulator> Sim;
+  bool SteppingNative = R.NativeAttached;
   if (J.Spec.TissueNX > 0) {
     // Tissue job: the reaction-diffusion driver over the spec's grid.
     // The journal carries the same fields, so a replayed job rebuilds an
@@ -186,6 +178,9 @@ JobState JobRunner::execute(Job &J) {
     if (!Built)
       return fail(J, "ensemble: " + Built.status().message());
     EMod.emplace(std::move(*Built));
+    // The sweep steps its lowered model, which needs its own kernel.
+    SteppingNative = J.Spec.Tier != exec::EngineTier::VM &&
+                     sim::attachNativeKernel(*EMod, R.CacheKey, Entry->Name);
     auto ER = std::make_unique<sim::EnsembleRunner>(*EMod, Opts);
     EnsSim = ER.get();
     telemetry::counter("daemon.jobs.ensemble").add();
@@ -194,6 +189,14 @@ JobState JobRunner::execute(Job &J) {
     Sim = std::make_unique<sim::Simulator>(*R.Model, Opts);
   }
   sim::Simulator &S = *Sim;
+  // The native tier degrades, never fails: a job asking for it on a box
+  // without a toolchain runs on the VM (bit-identical results), and the
+  // fallback is visible in telemetry, counted for the model that steps,
+  // rather than in the job outcome.
+  if (J.Spec.Tier != exec::EngineTier::VM)
+    telemetry::counter(SteppingNative ? "daemon.jobs.native"
+                                      : "daemon.jobs.native_fallback")
+        .add();
 
   // Replay path: continue from the newest valid checkpoint. A job that
   // has none (killed before its first checkpoint) starts over — same

@@ -12,13 +12,11 @@
 // advertises its width, preferred alignment and math flavour, so the
 // selection layers above (EngineConfig::validate, the width autotuner,
 // the capability heuristic) enumerate what this machine can run instead
-// of hard-coding the SSE/AVX2/AVX-512 axis. Two kinds of entries exist:
-//
-//  * specialized: the templated interpreters with compile-time lane
-//    counts (the fast path the registry prefers when both exist);
-//  * vector-length-agnostic (VLA): one interpreter body whose lane count
-//    is a runtime parameter, registered for widths beyond the template
-//    burn (and, under LIMPET_VLA=1, preferred everywhere for testing).
+// of hard-coding the SSE/AVX2/AVX-512 axis. Every vector entry is the
+// templated interpreter with a compile-time lane count: widths 2, 4 and 8
+// on every host, and 16 where the probe finds AVX-512-class vectors.
+// (Length-agnostic code earns its keep on RVV and SVE; no host the probe
+// knows is one.)
 //
 // Backend::step() owns the two concerns that used to be ad-hoc special
 // cases inside the engines:
@@ -50,8 +48,7 @@ class Backend {
 public:
   virtual ~Backend() = default;
 
-  /// Stable identifier, e.g. "scalar/libm", "vec8/vecmath" or
-  /// "vla16/vecmath".
+  /// Stable identifier, e.g. "scalar/libm" or "vec8/vecmath".
   virtual std::string_view name() const = 0;
 
   /// SIMD lane count of the main loop (1 for the scalar backend).
@@ -60,10 +57,6 @@ public:
   /// Whether transcendental calls use the VecMath kernels (the SVML
   /// analogue) instead of libm.
   virtual bool fastMath() const = 0;
-
-  /// Whether the lane count is a compile-time template parameter (the
-  /// specialized fast path) or a runtime value (the VLA interpreter).
-  virtual bool specialized() const { return true; }
 
   /// State alignment (bytes) this backend's main loop prefers: one full
   /// vector of f64 lanes.
@@ -100,7 +93,6 @@ struct BackendInfo {
   unsigned Width = 1;
   bool FastMath = false;
   unsigned AlignBytes = 8;
-  bool Specialized = true;
 };
 
 /// The data-driven table of every execution point this process can
@@ -109,19 +101,15 @@ struct BackendInfo {
 /// and the autotuner consult.
 class BackendRegistry {
 public:
-  /// The process-wide registry, built from hostCpuCaps() (and the
-  /// LIMPET_VLA preference) on first use.
+  /// The process-wide registry, built from hostCpuCaps() on first use.
   static const BackendRegistry &global();
 
   /// Builds the registry a machine with \p Caps would have. Used by tests
-  /// and by staleness checks against tuning records from other machines;
-  /// \p PreferVla mirrors LIMPET_VLA=1.
-  static BackendRegistry forCaps(const support::CpuCaps &Caps,
-                                 bool PreferVla = false);
+  /// and by staleness checks against tuning records from other machines.
+  static BackendRegistry forCaps(const support::CpuCaps &Caps);
 
-  /// The backend for (Width, FastMath), preferring the specialized
-  /// templated entry unless VLA dispatch is forced. Null when no entry
-  /// covers the width.
+  /// The backend for (Width, FastMath); null when no entry covers the
+  /// width.
   const Backend *find(unsigned Width, bool FastMath) const;
 
   bool supportsWidth(unsigned W) const;
@@ -132,8 +120,7 @@ public:
   /// Every registered point.
   const std::vector<BackendInfo> &entries() const { return Entries; }
 
-  /// A stable hash of the ISA name and every (width, fastMath,
-  /// specialized) entry. Tuning records are keyed by this: a record tuned
+  /// A stable hash of the ISA name and every (width, fastMath) entry. Tuning records are keyed by this: a record tuned
   /// on a machine with different capabilities is stale by construction.
   uint64_t fingerprint() const { return Fingerprint; }
 
@@ -143,16 +130,12 @@ public:
   /// f64 lanes of the widest native vector unit (heuristic input).
   unsigned maxLanes() const { return MaxLanes; }
 
-  /// Whether find() prefers VLA entries over specialized ones.
-  bool prefersVla() const { return PreferVla; }
-
 private:
   std::vector<BackendInfo> Entries;
   std::vector<unsigned> Widths;
   std::string Isa;
   unsigned MaxLanes = 1;
   uint64_t Fingerprint = 0;
-  bool PreferVla = false;
 };
 
 /// The shared backend instance for a supported (Width, FastMath) pair, or

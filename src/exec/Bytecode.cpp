@@ -2,163 +2,53 @@
 
 #include "exec/Bytecode.h"
 
-#include "support/Casting.h"
+#include "runtime/VecMath.h"
 #include "support/StringUtils.h"
 
 using namespace limpet;
 using namespace limpet::exec;
 
-std::string_view exec::bcOpName(BcOp Op) {
-  switch (Op) {
-  case BcOp::ConstF:
-    return "const";
-  case BcOp::Copy:
-    return "copy";
-  case BcOp::LoadState:
-    return "load.state";
-  case BcOp::StoreState:
-    return "store.state";
-  case BcOp::LoadExt:
-    return "load.ext";
-  case BcOp::StoreExt:
-    return "store.ext";
-  case BcOp::LoadParam:
-    return "load.param";
-  case BcOp::Add:
-    return "add";
-  case BcOp::Sub:
-    return "sub";
-  case BcOp::Mul:
-    return "mul";
-  case BcOp::Div:
-    return "div";
-  case BcOp::Rem:
-    return "rem";
-  case BcOp::Neg:
-    return "neg";
-  case BcOp::Min:
-    return "min";
-  case BcOp::Max:
-    return "max";
-  case BcOp::CmpLT:
-    return "cmp.lt";
-  case BcOp::CmpLE:
-    return "cmp.le";
-  case BcOp::CmpGT:
-    return "cmp.gt";
-  case BcOp::CmpGE:
-    return "cmp.ge";
-  case BcOp::CmpEQ:
-    return "cmp.eq";
-  case BcOp::CmpNE:
-    return "cmp.ne";
-  case BcOp::And:
-    return "and";
-  case BcOp::Or:
-    return "or";
-  case BcOp::Xor:
-    return "xor";
-  case BcOp::Select:
-    return "select";
-  case BcOp::Exp:
-    return "exp";
-  case BcOp::Expm1:
-    return "expm1";
-  case BcOp::Log:
-    return "log";
-  case BcOp::Log10:
-    return "log10";
-  case BcOp::Sqrt:
-    return "sqrt";
-  case BcOp::Sin:
-    return "sin";
-  case BcOp::Cos:
-    return "cos";
-  case BcOp::Tan:
-    return "tan";
-  case BcOp::Tanh:
-    return "tanh";
-  case BcOp::Sinh:
-    return "sinh";
-  case BcOp::Cosh:
-    return "cosh";
-  case BcOp::Atan:
-    return "atan";
-  case BcOp::Asin:
-    return "asin";
-  case BcOp::Acos:
-    return "acos";
-  case BcOp::Abs:
-    return "abs";
-  case BcOp::Floor:
-    return "floor";
-  case BcOp::Ceil:
-    return "ceil";
-  case BcOp::Pow:
-    return "pow";
-  case BcOp::LutCoord:
-    return "lut.coord";
-  case BcOp::LutInterp:
-    return "lut.interp";
-  case BcOp::LutInterpCubic:
-    return "lut.interp_cubic";
-  }
-  limpet_unreachable("invalid bytecode op");
-}
+namespace {
+
+using namespace bcfield;
+using vecmath::FlopCost;
+
+constexpr BcOpInfo kOpInfo[] = {
+#define BC_OP(Name, Mnemonic, From, Shape, Flops, LoadBytes, StoreBytes,       \
+              Class, Pin)                                                      \
+  {Mnemonic,   Shape,         double(Flops), LoadBytes,                        \
+   StoreBytes, BcClass::Class, BcPin::Pin},
+#include "exec/BcOps.def"
+};
+static_assert(std::size(kOpInfo) == kNumBcOps);
+
+} // namespace
+
+const BcOpInfo &exec::bcOpInfo(BcOp Op) { return kOpInfo[size_t(Op)]; }
 
 static void printInstr(std::string &Out, const BcInstr &I) {
-  Out += "  r" + std::to_string(I.Dst) + " = " + std::string(bcOpName(I.Op));
-  switch (I.Op) {
-  case BcOp::ConstF:
+  auto Reg = [](unsigned R) { return "r" + std::to_string(R); };
+  const BcOpInfo &Info = bcOpInfo(I.Op);
+  Out += "  " + Reg(I.Dst) + " = " + std::string(Info.Mnemonic);
+  if (Info.uses(Imm)) {
     Out += " " + formatDouble(I.Imm);
-    break;
-  case BcOp::LoadState:
-  case BcOp::LoadExt:
-  case BcOp::LoadParam:
+  } else if (Info.uses(Table)) {
+    Out += " table " + std::to_string(I.Aux);
+    if (Info.uses(Col))
+      Out += " col " + std::to_string(I.Aux2) + ", " + Reg(I.A) + ", " +
+             Reg(I.B);
+    else
+      Out += ", " + Reg(I.A) + " -> frac " + Reg(I.C);
+  } else if (Info.uses(Sv | Ext | Param)) {
     Out += " [" + std::to_string(I.Aux) + "]";
-    break;
-  case BcOp::StoreState:
-  case BcOp::StoreExt:
-    Out += " [" + std::to_string(I.Aux) + "], r" + std::to_string(I.A);
-    break;
-  case BcOp::LutCoord:
-    Out += " table " + std::to_string(I.Aux) + ", r" + std::to_string(I.A) +
-           " -> frac r" + std::to_string(I.C);
-    break;
-  case BcOp::LutInterp:
-  case BcOp::LutInterpCubic:
-    Out += " table " + std::to_string(I.Aux) + " col " +
-           std::to_string(I.Aux2) + ", r" + std::to_string(I.A) + ", r" +
-           std::to_string(I.B);
-    break;
-  case BcOp::Select:
-    Out += " r" + std::to_string(I.A) + ", r" + std::to_string(I.B) + ", r" +
-           std::to_string(I.C);
-    break;
-  case BcOp::Copy:
-  case BcOp::Neg:
-  case BcOp::Exp:
-  case BcOp::Expm1:
-  case BcOp::Log:
-  case BcOp::Log10:
-  case BcOp::Sqrt:
-  case BcOp::Sin:
-  case BcOp::Cos:
-  case BcOp::Tan:
-  case BcOp::Tanh:
-  case BcOp::Sinh:
-  case BcOp::Cosh:
-  case BcOp::Atan:
-  case BcOp::Asin:
-  case BcOp::Acos:
-  case BcOp::Abs:
-  case BcOp::Floor:
-  case BcOp::Ceil:
-    Out += " r" + std::to_string(I.A);
-    break;
-  default:
-    Out += " r" + std::to_string(I.A) + ", r" + std::to_string(I.B);
-    break;
+    if (Info.uses(A))
+      Out += ", " + Reg(I.A);
+  } else {
+    Out += " " + Reg(I.A);
+    if (Info.uses(B))
+      Out += ", " + Reg(I.B);
+    if (Info.uses(C))
+      Out += ", " + Reg(I.C);
   }
   Out += "\n";
 }
@@ -175,4 +65,45 @@ std::string BcProgram::str() const {
   for (const BcInstr &I : Body)
     printInstr(Out, I);
   return Out;
+}
+
+Status BcProgram::validate(const std::vector<int> &TableCols) const {
+  if ((HasDt && DtReg >= NumRegs) || (HasT && TReg >= NumRegs))
+    return Status::error("bytecode: dt/t register past the register file");
+  auto InRange = [](int64_t V, size_t N) { return V >= 0 && size_t(V) < N; };
+  auto Check = [&](std::string_view Section,
+                   const std::vector<BcInstr> &List) -> Status {
+    for (size_t Pos = 0; Pos != List.size(); ++Pos) {
+      const BcInstr &I = List[Pos];
+      auto Bad = [&](const std::string &What) {
+        return Status::error("bytecode " + std::string(Section) +
+                             " instruction " + std::to_string(Pos) + ": " +
+                             What);
+      };
+      if (unsigned(I.Op) >= kNumBcOps)
+        return Bad("unknown opcode " + std::to_string(unsigned(I.Op)));
+      const BcOpInfo &Info = bcOpInfo(I.Op);
+      const std::string Name(Info.Mnemonic);
+      for (auto [Field, Reg] :
+           {std::pair<uint16_t, uint16_t>{Dst, I.Dst}, {A, I.A}, {B, I.B},
+            {C, I.C}})
+        if (Info.uses(Field) && Reg >= NumRegs)
+          return Bad(Name + " register r" + std::to_string(Reg) +
+                     " past the register file");
+      if ((Info.uses(Sv) && !InRange(I.Aux, NumSv)) ||
+          (Info.uses(Ext) && !InRange(I.Aux, NumExternals)) ||
+          (Info.uses(Param) && !InRange(I.Aux, NumParams)) ||
+          (Info.uses(Table) && !InRange(I.Aux, TableCols.size())))
+        return Bad(Name + " index " + std::to_string(I.Aux) +
+                   " out of range");
+      if (Info.uses(Col) &&
+          !InRange(I.Aux2, size_t(TableCols[size_t(I.Aux)])))
+        return Bad(Name + " column " + std::to_string(I.Aux2) +
+                   " past the columns of table " + std::to_string(I.Aux));
+    }
+    return Status::success();
+  };
+  if (Status S = Check("prologue", Prologue); !S)
+    return S;
+  return Check("body", Body);
 }

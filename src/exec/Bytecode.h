@@ -18,72 +18,73 @@
 #define LIMPET_EXEC_BYTECODE_H
 
 #include "codegen/KernelSpec.h"
+#include "support/Status.h"
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace limpet {
 namespace exec {
 
+/// The bytecode ops, declared in exec/BcOps.def.
 enum class BcOp : uint8_t {
-  // Data movement.
-  ConstF,     ///< dst = Imm
-  Copy,       ///< dst = A
-  LoadState,  ///< dst = state[cell, sv=Aux] (layout-aware)
-  StoreState, ///< state[cell, sv=Aux] = A
-  LoadExt,    ///< dst = ext[Aux][cell]
-  StoreExt,   ///< ext[Aux][cell] = A
-  LoadParam,  ///< dst = params[Aux]
-  // Arithmetic.
-  Add,
-  Sub,
-  Mul,
-  Div,
-  Rem,
-  Neg,
-  Min,
-  Max,
-  // Comparisons (produce 0.0 / 1.0).
-  CmpLT,
-  CmpLE,
-  CmpGT,
-  CmpGE,
-  CmpEQ,
-  CmpNE,
-  // Mask logic over 0/1 doubles.
-  And,
-  Or,
-  Xor,
-  Select, ///< dst = A != 0 ? B : C
-  // Math calls.
-  Exp,
-  Expm1,
-  Log,
-  Log10,
-  Sqrt,
-  Sin,
-  Cos,
-  Tan,
-  Tanh,
-  Sinh,
-  Cosh,
-  Atan,
-  Asin,
-  Acos,
-  Abs,
-  Floor,
-  Ceil,
-  Pow, ///< dst = A ** B
-  // Lookup tables.
-  LutCoord,  ///< dst = rowIndex(table=Aux, x=A), C = fraction register
-  LutInterp, ///< dst = interp(table=Aux, col=Aux2, idx=A, frac=B)
-  /// dst = Catmull-Rom cubic interp(table=Aux, col=Aux2, idx=A, frac=B)
-  LutInterpCubic,
+#define BC_OP(Name, ...) Name,
+#include "exec/BcOps.def"
 };
 
+/// Number of bytecode ops; an opcode byte at or past it names no op.
+inline constexpr unsigned kNumBcOps = 0
+#define BC_OP(...) +1
+#include "exec/BcOps.def"
+    ;
+
+/// The instruction fields an op uses (the BcOps.def Shape column).
+namespace bcfield {
+enum : uint16_t {
+  Dst = 1,      ///< destination register
+  A = 2,        ///< source registers
+  B = 4,
+  C = 8,        ///< third source, or LutCoord's fraction destination
+  Imm = 16,     ///< ConstF's payload
+  Sv = 32,      ///< Aux is a state variable
+  Ext = 64,     ///< Aux is an external
+  Param = 128,  ///< Aux is a parameter
+  Table = 256,  ///< Aux is a LUT table
+  Col = 512,    ///< Aux2 is a column of table Aux
+};
+} // namespace bcfield
+
+/// Cost class of an op (BcOps.def): Call ops are library calls native
+/// vector kernels run one lane at a time, Math ops are Calls counted in
+/// MathOpsPerCell, Lut ops are counted in LutOpsPerCell.
+enum class BcClass : uint8_t { Plain, Call, Math, Lut };
+
+/// Whether the native emitter pins an op's result with a value barrier:
+/// always, only in fast-math kernels, or never.
+enum class BcPin : uint8_t { No, Yes, Fast };
+
+/// One BcOps.def entry's metadata.
+struct BcOpInfo {
+  std::string_view Mnemonic;
+  uint16_t Shape; ///< bcfield bits
+  double Flops;
+  unsigned LoadBytes, StoreBytes;
+  BcClass Class;
+  BcPin Pin;
+
+  bool uses(uint16_t Fields) const { return (Shape & Fields) != 0; }
+  bool pinned(bool FastMath) const {
+    return Pin == BcPin::Yes || (Pin == BcPin::Fast && FastMath);
+  }
+};
+
+/// The table entry of \p Op, which must be below kNumBcOps.
+const BcOpInfo &bcOpInfo(BcOp Op);
+
 /// Human-readable opcode name ("add", "lut.coord", ...).
-std::string_view bcOpName(BcOp Op);
+inline std::string_view bcOpName(BcOp Op) { return bcOpInfo(Op).Mnemonic; }
 
 /// One instruction. Dst/A/B/C are register numbers; Aux/Aux2 carry
 /// table/column/variable indices; Imm carries the ConstF payload.
@@ -138,6 +139,14 @@ struct BcProgram {
 
   /// Disassembles the program for tests and debugging.
   std::string str() const;
+
+  /// Checks every instruction against its op's shape (BcOps.def): a known
+  /// opcode, registers below NumRegs, and state, external, parameter,
+  /// table and column indices within this program's counts and the
+  /// column counts of its LUT tables, \p TableCols. A program that passes
+  /// can index nothing out of range; artifact loads run this before the
+  /// VM sees the program.
+  Status validate(const std::vector<int> &TableCols) const;
 };
 
 } // namespace exec

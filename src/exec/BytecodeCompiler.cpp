@@ -2,7 +2,6 @@
 
 #include "exec/BytecodeCompiler.h"
 
-#include "runtime/VecMath.h"
 #include "support/Casting.h"
 #include "support/Telemetry.h"
 #include "support/Trace.h"
@@ -182,14 +181,6 @@ private:
       emit(Out, I);
       return;
     }
-    case OpCode::VecBroadcast: {
-      BcInstr I{BcOp::Copy};
-      I.A = useOperand(Op->operand(0));
-      I.Dst = allocReg();
-      define(Op->result(0), I.Dst);
-      emit(Out, I);
-      return;
-    }
     case OpCode::MemLoad:
     case OpCode::VecLoad:
     case OpCode::VecGather: {
@@ -238,108 +229,34 @@ private:
       emit(Out, I);
       return;
     }
-    case OpCode::ArithCmpF:
-    case OpCode::ArithCmpI: {
-      CmpPredicate Pred;
-      bool Ok = parseCmpPredicate(Op->attr("predicate").asString(), Pred);
-      assert(Ok && "invalid predicate");
-      (void)Ok;
-      BcOp Code = BcOp::CmpLT;
-      switch (Pred) {
-      case CmpPredicate::LT:
-        Code = BcOp::CmpLT;
-        break;
-      case CmpPredicate::LE:
-        Code = BcOp::CmpLE;
-        break;
-      case CmpPredicate::GT:
-        Code = BcOp::CmpGT;
-        break;
-      case CmpPredicate::GE:
-        Code = BcOp::CmpGE;
-        break;
-      case CmpPredicate::EQ:
-        Code = BcOp::CmpEQ;
-        break;
-      case CmpPredicate::NE:
-        Code = BcOp::CmpNE;
-        break;
-      }
-      emitSimple(Op, Code, Out);
-      return;
-    }
     default:
-      emitSimple(Op, mapSimpleOp(Op->opcode()), Out);
+      emitSimple(Op, pureOpFor(Op), Out);
       return;
     }
   }
 
-  /// Maps 1:1 pure ops.
-  static BcOp mapSimpleOp(OpCode Code) {
-    switch (Code) {
-    case OpCode::ArithAddF:
-      return BcOp::Add;
-    case OpCode::ArithSubF:
-      return BcOp::Sub;
-    case OpCode::ArithMulF:
-      return BcOp::Mul;
-    case OpCode::ArithDivF:
-      return BcOp::Div;
-    case OpCode::ArithRemF:
-      return BcOp::Rem;
-    case OpCode::ArithNegF:
-      return BcOp::Neg;
-    case OpCode::ArithMinF:
-      return BcOp::Min;
-    case OpCode::ArithMaxF:
-      return BcOp::Max;
-    case OpCode::ArithSelect:
-      return BcOp::Select;
-    case OpCode::ArithAndI:
-      return BcOp::And;
-    case OpCode::ArithOrI:
-      return BcOp::Or;
-    case OpCode::ArithXOrI:
-      return BcOp::Xor;
-    case OpCode::MathExp:
-      return BcOp::Exp;
-    case OpCode::MathExpm1:
-      return BcOp::Expm1;
-    case OpCode::MathLog:
-      return BcOp::Log;
-    case OpCode::MathLog10:
-      return BcOp::Log10;
-    case OpCode::MathPow:
-      return BcOp::Pow;
-    case OpCode::MathSqrt:
-      return BcOp::Sqrt;
-    case OpCode::MathSin:
-      return BcOp::Sin;
-    case OpCode::MathCos:
-      return BcOp::Cos;
-    case OpCode::MathTan:
-      return BcOp::Tan;
-    case OpCode::MathTanh:
-      return BcOp::Tanh;
-    case OpCode::MathSinh:
-      return BcOp::Sinh;
-    case OpCode::MathCosh:
-      return BcOp::Cosh;
-    case OpCode::MathAtan:
-      return BcOp::Atan;
-    case OpCode::MathAsin:
-      return BcOp::Asin;
-    case OpCode::MathAcos:
-      return BcOp::Acos;
-    case OpCode::MathAbs:
-      return BcOp::Abs;
-    case OpCode::MathFloor:
-      return BcOp::Floor;
-    case OpCode::MathCeil:
-      return BcOp::Ceil;
-    default:
-      limpet_unreachable("op not supported by the bytecode compiler");
+  /// The pure op \p Op lowers to 1:1, by the "from" column of
+  /// exec/BcOps.def; compares pick theirs by predicate.
+  static BcOp pureOpFor(Operation *Op) {
+    const OpCode Code = Op->opcode();
+    const bool IsCmp =
+        Code == OpCode::ArithCmpF || Code == OpCode::ArithCmpI;
+    CmpPredicate Pred = CmpPredicate::LT;
+    if (IsCmp) {
+      bool Ok = parseCmpPredicate(Op->attr("predicate").asString(), Pred);
+      assert(Ok && "invalid predicate");
+      (void)Ok;
     }
+#define IR(IrOp) (!IsCmp && Code == OpCode::IrOp)
+#define CMP(P) (IsCmp && Pred == CmpPredicate::P)
+#define BC_OP(...)
+#define BC_PURE(Name, Mnemonic, From, ...)                                     \
+  if (From)                                                                    \
+    return BcOp::Name;
+#include "exec/BcOps.def"
+#undef IR
+#undef CMP
+    limpet_unreachable("op not supported by the bytecode compiler");
   }
 
   void emitSimple(Operation *Op, BcOp Code, std::vector<BcInstr> &Out) {
@@ -356,121 +273,16 @@ private:
     emit(Out, I);
   }
 
+  /// The static cost model (BcOps.def's cost and class columns).
   void computeCounts() {
     InstrCounts &C = P.Counts;
-    using FC = vecmath::FlopCost;
     for (const BcInstr &I : P.Body) {
-      switch (I.Op) {
-      case BcOp::Exp:
-      case BcOp::Expm1:
-      case BcOp::Log:
-      case BcOp::Log10:
-      case BcOp::Pow:
-      case BcOp::Sin:
-      case BcOp::Cos:
-      case BcOp::Tan:
-      case BcOp::Tanh:
-      case BcOp::Sinh:
-      case BcOp::Cosh:
-      case BcOp::Atan:
-      case BcOp::Asin:
-      case BcOp::Acos:
-        ++P.MathOpsPerCell;
-        break;
-      case BcOp::LutInterp:
-      case BcOp::LutInterpCubic:
-        ++P.LutOpsPerCell;
-        break;
-      default:
-        break;
-      }
-      switch (I.Op) {
-      case BcOp::ConstF:
-      case BcOp::Copy:
-        break;
-      case BcOp::LoadState:
-      case BcOp::LoadExt:
-      case BcOp::LoadParam:
-        C.LoadBytesPerCell += 8;
-        break;
-      case BcOp::StoreState:
-      case BcOp::StoreExt:
-        C.StoreBytesPerCell += 8;
-        break;
-      case BcOp::Add:
-      case BcOp::Sub:
-      case BcOp::Mul:
-      case BcOp::Neg:
-      case BcOp::Min:
-      case BcOp::Max:
-      case BcOp::CmpLT:
-      case BcOp::CmpLE:
-      case BcOp::CmpGT:
-      case BcOp::CmpGE:
-      case BcOp::CmpEQ:
-      case BcOp::CmpNE:
-      case BcOp::And:
-      case BcOp::Or:
-      case BcOp::Xor:
-      case BcOp::Select:
-      case BcOp::Abs:
-      case BcOp::Floor:
-      case BcOp::Ceil:
-      case BcOp::Sqrt:
-        C.FlopsPerCell += 1;
-        break;
-      case BcOp::Div:
-        C.FlopsPerCell += 4;
-        break;
-      case BcOp::Rem:
-        C.FlopsPerCell += 8;
-        break;
-      case BcOp::Exp:
-        C.FlopsPerCell += FC::Exp;
-        break;
-      case BcOp::Expm1:
-        C.FlopsPerCell += FC::Expm1;
-        break;
-      case BcOp::Log:
-        C.FlopsPerCell += FC::Log;
-        break;
-      case BcOp::Log10:
-        C.FlopsPerCell += FC::Log10;
-        break;
-      case BcOp::Pow:
-        C.FlopsPerCell += FC::Pow;
-        break;
-      case BcOp::Sin:
-      case BcOp::Cos:
-      case BcOp::Tan:
-        C.FlopsPerCell += FC::Trig;
-        break;
-      case BcOp::Tanh:
-        C.FlopsPerCell += FC::Tanh;
-        break;
-      case BcOp::Sinh:
-      case BcOp::Cosh:
-        C.FlopsPerCell += FC::SinhCosh;
-        break;
-      case BcOp::Atan:
-        C.FlopsPerCell += FC::ATan;
-        break;
-      case BcOp::Asin:
-      case BcOp::Acos:
-        C.FlopsPerCell += FC::ASinCos;
-        break;
-      case BcOp::LutCoord:
-        C.FlopsPerCell += 4;
-        break;
-      case BcOp::LutInterp:
-        C.FlopsPerCell += 3;
-        C.LoadBytesPerCell += 16;
-        break;
-      case BcOp::LutInterpCubic:
-        C.FlopsPerCell += 12;
-        C.LoadBytesPerCell += 32;
-        break;
-      }
+      const BcOpInfo &Info = bcOpInfo(I.Op);
+      C.FlopsPerCell += Info.Flops;
+      C.LoadBytesPerCell += Info.LoadBytes;
+      C.StoreBytesPerCell += Info.StoreBytes;
+      P.MathOpsPerCell += Info.Class == BcClass::Math;
+      P.LutOpsPerCell += Info.Class == BcClass::Lut;
     }
   }
 };

@@ -167,6 +167,16 @@ CompiledModel::fromParts(GeneratedKernel Kernel, BcProgram Program,
     return Fail("program has no compute body");
   if (Luts && Luts->Tables.size() != Kernel.Program.Luts.Tables.size())
     return Fail("LUT table count does not match the model's LUT plan");
+  // Every operand index the VM will use as a raw index must be in range.
+  std::vector<int> TableCols;
+  if (Luts)
+    for (const runtime::LutTable &T : Luts->Tables)
+      TableCols.push_back(T.cols());
+  else
+    for (const LutTablePlan &Plan : Kernel.Program.Luts.Tables)
+      TableCols.push_back(int(Plan.Columns.size()));
+  if (Status S = Program.validate(TableCols); !S)
+    return Fail(S.message());
 
   CompiledModel M;
   M.Cfg = Cfg;

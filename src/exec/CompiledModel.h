@@ -98,7 +98,8 @@ public:
   /// (whose IR handles may be null on artifact loads), a bytecode program
   /// and optionally pre-built LUT tables (rebuilt at default parameters
   /// when absent). Validates cross-part consistency — layout, widths,
-  /// state/external/parameter counts — so a corrupt or mismatched
+  /// state/external/parameter counts, and every instruction's opcode and
+  /// operand indices (BcProgram::validate) — so a corrupt or mismatched
   /// artifact is rejected with a recoverable error rather than executed.
   static std::optional<CompiledModel>
   fromParts(codegen::GeneratedKernel Kernel, BcProgram Program,

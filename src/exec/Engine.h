@@ -48,11 +48,9 @@ struct KernelArgs {
   const runtime::LutTableSet *Luts = nullptr;
 };
 
-/// The specialized template burns (SSE = 2, AVX2 = 4, AVX-512 = 8 lanes
-/// of f64). These widths are registered on every host; the
-/// BackendRegistry (exec/Backend.h) may advertise more — the
-/// vector-length-agnostic interpreter covers widths beyond the burn on
-/// hosts whose probe allows it.
+/// The widths registered on every host (SSE = 2, AVX2 = 4, AVX-512 = 8
+/// lanes of f64). The BackendRegistry (exec/Backend.h) may advertise more:
+/// width 16 on hosts whose probe finds AVX-512-class vectors.
 inline constexpr unsigned SupportedWidths[] = {1, 2, 4, 8};
 
 /// Whether the process-wide BackendRegistry has a backend for \p W.

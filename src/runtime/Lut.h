@@ -11,6 +11,8 @@
 #ifndef LIMPET_RUNTIME_LUT_H
 #define LIMPET_RUNTIME_LUT_H
 
+#include "runtime/VecMath.h"
+
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
@@ -61,9 +63,7 @@ public:
   /// Linear interpolation of one column at a precomputed coordinate.
   double interp(int64_t Idx, double Frac, int Col) const {
     const double *Row = &Data[size_t(Idx) * Cols + Col];
-    double A = Row[0];
-    double B = Row[size_t(Cols)];
-    return A + Frac * (B - A);
+    return vecmath::lutBlend(Row[0], Row[size_t(Cols)], Frac);
   }
 
   /// Four-point cubic (Lagrange) interpolation of one column: the spline
@@ -77,13 +77,7 @@ public:
     double P1 = Data[size_t(Idx) * Cols + Col];
     double P2 = Data[size_t(Idx + 1) * Cols + Col];
     double P3 = Data[size_t(I3) * Cols + Col];
-    double T = Frac;
-    // Lagrange basis over sample positions -1, 0, 1, 2.
-    double W0 = -T * (T - 1.0) * (T - 2.0) * (1.0 / 6.0);
-    double W1 = (T + 1.0) * (T - 1.0) * (T - 2.0) * 0.5;
-    double W2 = -(T + 1.0) * T * (T - 2.0) * 0.5;
-    double W3 = (T + 1.0) * T * (T - 1.0) * (1.0 / 6.0);
-    return W0 * P0 + W1 * P1 + W2 * P2 + W3 * P3;
+    return vecmath::lutCubic(P0, P1, P2, P3, Frac);
   }
 
   /// Convenience: coordinate + single-column interpolation.

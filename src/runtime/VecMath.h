@@ -293,6 +293,57 @@ inline double fastAcos(double X) {
   return PiOver2 - fastAsin(X);
 }
 
+//===----------------------------------------------------------------------===//
+// Kernel arithmetic shared by the VM and native kernels. This header is
+// embedded into every emitted kernel TU, so these are the exact functions
+// the VM runs.
+//===----------------------------------------------------------------------===//
+
+/// The math calls of bytecode lane expressions (exec/BcOps.def's M::),
+/// one flavour per Fast: the kernels above, or libm.
+template <bool Fast> struct MathOps {
+  static double exp(double X) { return Fast ? fastExp(X) : std::exp(X); }
+  static double expm1(double X) {
+    return Fast ? fastExpm1(X) : std::expm1(X);
+  }
+  static double log(double X) { return Fast ? fastLog(X) : std::log(X); }
+  static double log10(double X) {
+    return Fast ? fastLog10(X) : std::log10(X);
+  }
+  static double pow(double X, double Y) {
+    return Fast ? fastPow(X, Y) : std::pow(X, Y);
+  }
+  static double sin(double X) { return Fast ? fastSin(X) : std::sin(X); }
+  static double cos(double X) { return Fast ? fastCos(X) : std::cos(X); }
+  static double tan(double X) { return Fast ? fastTan(X) : std::tan(X); }
+  static double tanh(double X) { return Fast ? fastTanh(X) : std::tanh(X); }
+  static double sinh(double X) { return Fast ? fastSinh(X) : std::sinh(X); }
+  static double cosh(double X) { return Fast ? fastCosh(X) : std::cosh(X); }
+  static double atan(double X) { return Fast ? fastAtan(X) : std::atan(X); }
+  static double asin(double X) { return Fast ? fastAsin(X) : std::asin(X); }
+  static double acos(double X) { return Fast ? fastAcos(X) : std::acos(X); }
+};
+
+/// Linear LUT interpolation between the samples \p Lo and \p Hi of one
+/// column at fraction \p Frac. T is double, or a vector of doubles where
+/// native kernels blend a whole row chunk at once.
+template <class T>
+[[gnu::always_inline]] inline T lutBlend(T Lo, T Hi, T Frac) {
+  return Lo + Frac * (Hi - Lo);
+}
+
+/// Cubic LUT interpolation: the four-point Lagrange polynomial through
+/// samples P0..P3 at positions -1, 0, 1, 2, evaluated at \p T in [0, 1].
+/// Both helpers are forced inline so the VM's lane loops stay vectorizable.
+[[gnu::always_inline]] inline double lutCubic(double P0, double P1, double P2,
+                                              double P3, double T) {
+  double W0 = -T * (T - 1.0) * (T - 2.0) * (1.0 / 6.0);
+  double W1 = (T + 1.0) * (T - 1.0) * (T - 2.0) * 0.5;
+  double W2 = -(T + 1.0) * T * (T - 2.0) * 0.5;
+  double W3 = (T + 1.0) * T * (T - 1.0) * (1.0 / 6.0);
+  return W0 * P0 + W1 * P1 + W2 * P2 + W3 * P3;
+}
+
 /// One row of the explicit 3-point diffusion stencil, branch-free so the
 /// host compiler vectorizes it: Out[i] = In[i] + K*(In[i-1] - 2 In[i] +
 /// In[i+1]) for i in [Begin, End). Callers handle the boundary nodes;

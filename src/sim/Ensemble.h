@@ -160,6 +160,14 @@ Expected<EnsembleModel> buildEnsembleModel(const easyml::ModelInfo &Info,
                                            EnsembleSpec Spec,
                                            const exec::EngineConfig &Cfg);
 
+/// Attaches a native kernel to \p EM's lowered model. The kernel is keyed
+/// off \p BaseKey, the base model's compile-cache key, extended with the
+/// lowering, so the base model's cached .so never serves the lowered
+/// program. On failure the model keeps its VM engine (bit-identical
+/// results) and the Status says why.
+Status attachNativeKernel(EnsembleModel &EM, uint64_t BaseKey,
+                          std::string_view ModelName);
+
 /// Steps a whole parameter sweep as one population. Member M owns the
 /// contiguous cell slice [M*CellsPerMember, (M+1)*CellsPerMember); the
 /// inherited guarded run loop detects faults, and the overridden

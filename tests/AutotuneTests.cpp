@@ -28,12 +28,11 @@ namespace {
 
 // These tests reason about the in-process fallback chain, so pin the
 // environment before anything memoizes it (the compile cache snapshots
-// LIMPET_CACHE_DIR on first use, the registry LIMPET_VLA/LIMPET_CPU_CAPS).
+// LIMPET_CACHE_DIR on first use, the registry LIMPET_CPU_CAPS).
 const bool EnvCleared = [] {
   unsetenv("LIMPET_CACHE_DIR");
   unsetenv("LIMPET_TUNE_FORCE");
   unsetenv("LIMPET_CPU_CAPS");
-  unsetenv("LIMPET_VLA");
   return true;
 }();
 
@@ -202,13 +201,16 @@ TEST(BackendRegistry, ProbesEveryNamedIsa) {
     ASSERT_TRUE(CapsOpt.has_value()) << Isa;
     const support::CpuCaps &Caps = *CapsOpt;
     exec::BackendRegistry Reg = exec::BackendRegistry::forCaps(Caps);
-    // The specialized burns are the portable floor on every host.
+    // Widths 1-8 are the portable floor on every host.
     for (unsigned W : {1u, 2u, 4u, 8u})
       EXPECT_TRUE(Reg.supportsWidth(W)) << Isa << " w" << W;
     EXPECT_FALSE(Reg.supportsWidth(3)) << Isa;
-    // The probe only widens the menu: runtime-width 16 appears exactly
-    // where two full native vectors exceed the widest burn.
+    // The probe only widens the menu: width 16 appears exactly where two
+    // full native vectors exceed width 8, as the template instantiation.
     EXPECT_EQ(Reg.supportsWidth(16), Caps.MaxLanesF64 * 2 > 8) << Isa;
+    if (const exec::Backend *W16 = Reg.find(16, true)) {
+      EXPECT_EQ(W16->name(), "vec16/vecmath") << Isa;
+    }
     const exec::Backend *Scalar = Reg.find(1, false);
     ASSERT_NE(Scalar, nullptr) << Isa;
     EXPECT_FALSE(Scalar->vectorized()) << Isa;
@@ -226,25 +228,6 @@ TEST(BackendRegistry, ProbesEveryNamedIsa) {
   EXPECT_NE(FpScalar, FpAvx2);
   EXPECT_NE(FpAvx2, FpAvx512);
   EXPECT_NE(FpScalar, FpAvx512);
-}
-
-TEST(BackendRegistry, PreferVlaSwapsDispatchNotResults) {
-  support::CpuCaps Caps = *support::cpuCapsFromName("avx2");
-  exec::BackendRegistry Spec = exec::BackendRegistry::forCaps(Caps, false);
-  exec::BackendRegistry Vla = exec::BackendRegistry::forCaps(Caps, true);
-  const exec::Backend *S = Spec.find(4, true);
-  const exec::Backend *V = Vla.find(4, true);
-  ASSERT_NE(S, nullptr);
-  ASSERT_NE(V, nullptr);
-  EXPECT_TRUE(S->specialized());
-  EXPECT_FALSE(V->specialized());
-  EXPECT_EQ(S->width(), V->width());
-  EXPECT_EQ(S->fastMath(), V->fastMath());
-  // The scalar interpreter has no runtime-width twin; preferring VLA
-  // still resolves it rather than failing.
-  const exec::Backend *Scalar = Vla.find(1, false);
-  ASSERT_NE(Scalar, nullptr);
-  EXPECT_TRUE(Scalar->specialized());
 }
 
 double checksumAt(const easyml::ModelInfo &Info, StateLayout L, unsigned W) {

@@ -47,8 +47,8 @@ TEST(Backend, RegistryCoversEverySupportedWidth) {
   }
   EXPECT_EQ(tryResolveBackend(3, false), nullptr);
   EXPECT_EQ(tryResolveBackend(0, false), nullptr);
-  // Width 16 has no specialized burn; it resolves exactly when the probed
-  // host registered a runtime-width backend for it.
+  // Width 16 is host-dependent: it resolves exactly when the probed host
+  // registered it.
   EXPECT_EQ(tryResolveBackend(16, true) != nullptr,
             BackendRegistry::global().supportsWidth(16));
 }

@@ -12,6 +12,7 @@
 
 #include "compiler/CompileCache.h"
 #include "compiler/CompilerDriver.h"
+#include "compiler/Serialize.h"
 #include "models/Registry.h"
 #include "sim/Simulator.h"
 #include "support/Telemetry.h"
@@ -22,6 +23,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <unistd.h>
 
 using namespace limpet;
@@ -395,6 +397,75 @@ TEST(ArtifactLoad, RejectsTamperedProgram) {
   EXPECT_FALSE(bool(R));
   EXPECT_NE(R.Err.message().find("artifact"), std::string::npos)
       << R.Err.message();
+}
+
+TEST(ArtifactLoad, RejectsOutOfRangeOpcodeAndOperands) {
+  // An artifact that still checksums can carry any opcode byte or operand
+  // index. Assembly checks each instruction against its op's shape, so a
+  // bad one fails to load and the disk tier falls back to a clean
+  // recompile instead of handing the VM a raw out-of-range index.
+  resetCache();
+  std::string Dir = ::testing::TempDir() + "limpet-validate-" +
+                    std::to_string(::getpid());
+  std::filesystem::create_directories(Dir);
+  CompileCache::global().setDiskDir(Dir);
+  const models::ModelEntry &E = entry("HodgkinHuxley");
+  CompilerDriver Driver = makeDriver(EngineConfig::limpetMLIR(8));
+  CompileResult Fresh = Driver.compileEntry(E);
+  ASSERT_TRUE(bool(Fresh)) << Fresh.Err.message();
+  const std::string Path = CompileCache::global().diskPath(Fresh.CacheKey);
+  ASSERT_TRUE(std::filesystem::exists(Path)) << Path;
+  const Artifact Good =
+      CompilerDriver::makeArtifact(*Fresh.Model, E.Name, Fresh.SourceHash);
+
+  auto FirstOf = [&](BcOp Op) {
+    for (size_t I = 0; I != Good.Program.Body.size(); ++I)
+      if (Good.Program.Body[I].Op == Op)
+        return I;
+    ADD_FAILURE() << bcOpName(Op) << " not in the program";
+    return size_t(0);
+  };
+  const size_t Load = FirstOf(BcOp::LoadState);
+  const size_t Interp = FirstOf(BcOp::LutInterp);
+  struct Case {
+    const char *Error;
+    std::function<void(BcProgram &)> Break;
+  } Cases[] = {
+      {"unknown opcode",
+       [&](BcProgram &P) { P.Body[Load].Op = BcOp(kNumBcOps); }},
+      {"past the register file",
+       [&](BcProgram &P) { P.Body[Load].Dst = uint16_t(P.NumRegs); }},
+      {"past the columns",
+       [&](BcProgram &P) {
+         BcInstr &I = P.Body[Interp];
+         I.Aux2 = Good.Luts.Tables[size_t(I.Aux)].cols();
+       }},
+  };
+  for (const Case &C : Cases) {
+    SCOPED_TRACE(C.Error);
+    Artifact Bad = Good;
+    C.Break(Bad.Program);
+    std::string Bytes = serializeArtifact(Bad);
+    Expected<Artifact> Read = deserializeArtifact(Bytes);
+    ASSERT_TRUE(bool(Read)) << Read.status().message();
+
+    CompileResult Loaded = Driver.loadArtifact(*Read, E.Name, E.Source);
+    EXPECT_FALSE(bool(Loaded));
+    EXPECT_NE(Loaded.Err.message().find(C.Error), std::string::npos)
+        << Loaded.Err.message();
+
+    // The same bytes in the disk tier: a miss and a clean recompile.
+    ASSERT_TRUE(bool(writeFileAtomic(Bytes, Path)));
+    CompileCache::global().clearMemory();
+    CompileResult Recompiled = Driver.compileEntry(E);
+    ASSERT_TRUE(bool(Recompiled)) << Recompiled.Err.message();
+    EXPECT_FALSE(Recompiled.CacheHit);
+    if (!Recompiled.CacheHit)
+      EXPECT_TRUE(
+          bitIdentical(simulate(*Fresh.Model), simulate(*Recompiled.Model)));
+  }
+  resetCache();
+  std::filesystem::remove_all(Dir);
 }
 
 } // namespace

@@ -8,6 +8,8 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "compiler/CompileCache.h"
+#include "compiler/KernelEmitter.h"
 #include "daemon/JobQueue.h"
 #include "daemon/JobRunner.h"
 #include "daemon/Journal.h"
@@ -15,7 +17,9 @@
 #include "daemon/Protocol.h"
 #include "daemon/SpscRing.h"
 #include "sim/Checkpoint.h"
+#include "support/Telemetry.h"
 
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <gtest/gtest.h>
@@ -558,6 +562,64 @@ TEST(DaemonJobRunner, ShutdownDuringMemberDtFloorJournalsNonTerminal) {
   R = Journal::readAll(JPath);
   ASSERT_TRUE(bool(R));
   EXPECT_TRUE(Journal::unfinished(*R).empty());
+  std::filesystem::remove_all(Dir);
+}
+
+// An ensemble job asking for the native tier steps its lowered model on a
+// native kernel of its own (the base model's kernel cannot serve the
+// lowered program), and the sweep ends bit-identical to the VM job, the
+// poisoned member's quarantine included.
+TEST(DaemonJobRunner, NativeEnsembleStepsOnItsOwnKernelLikeTheVm) {
+  if (!compiler::nativeToolchain())
+    GTEST_SKIP() << "no native toolchain";
+  std::string Dir = freshDir("runner-ens-native");
+  std::filesystem::create_directories(Dir + "/cache");
+  compiler::CompileCache::global().setDiskDir(Dir + "/cache");
+  compiler::CompileCache::global().clearMemory();
+  compiler::clearNativeKernelRegistry();
+  Journal Jr(Dir + "/journal.lj");
+  ASSERT_TRUE(Jr.open().isOk());
+  JobRunner::Config RC;
+  RC.StateDir = Dir;
+  RC.SimThreads = 1;
+  JobRunner Runner(RC, Jr);
+
+  auto Run = [&](uint64_t Id, exec::EngineTier Tier) {
+    auto J = std::make_shared<Job>();
+    J->Spec.Id = Id;
+    J->Spec.Model = "HodgkinHuxley";
+    J->Spec.NumSteps = 400;
+    J->Spec.Config = exec::EngineConfig::limpetMLIR(8);
+    J->Spec.Tier = Tier;
+    J->Spec.EnsembleSweep = "gNa=120,1e9,90,100,110,130,140,150,160";
+    EXPECT_EQ(Runner.execute(*J), JobState::Finished) << J->Error;
+    return J;
+  };
+  auto Native = [] { return telemetry::counter("daemon.jobs.native").get(); };
+  auto Fallback = [] {
+    return telemetry::counter("daemon.jobs.native_fallback").get();
+  };
+  std::shared_ptr<Job> Vm = Run(1, exec::EngineTier::VM);
+  const uint64_t Native0 = Native(), Fallback0 = Fallback();
+  std::shared_ptr<Job> Nat = Run(2, exec::EngineTier::Native);
+  EXPECT_EQ(Native() - Native0, 1u);
+  EXPECT_EQ(Fallback() - Fallback0, 0u);
+  // Two kernels in the disk tier: the base model's and the lowered one.
+  unsigned Kernels = 0;
+  for (const auto &E : std::filesystem::directory_iterator(Dir + "/cache"))
+    Kernels += E.path().string().find(".native.so") != std::string::npos;
+  EXPECT_EQ(Kernels, 2u);
+
+  EXPECT_EQ(Nat->MembersOk, Vm->MembersOk);
+  EXPECT_EQ(Nat->MembersQuarantined, 1);
+  EXPECT_EQ(Vm->MembersQuarantined, 1);
+  uint64_t VmBits, NatBits;
+  std::memcpy(&VmBits, &Vm->Checksum, 8);
+  std::memcpy(&NatBits, &Nat->Checksum, 8);
+  EXPECT_EQ(NatBits, VmBits) << Nat->Checksum << " vs " << Vm->Checksum;
+
+  compiler::CompileCache::global().setDiskDir("");
+  compiler::CompileCache::global().clearMemory();
   std::filesystem::remove_all(Dir);
 }
 

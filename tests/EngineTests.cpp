@@ -177,15 +177,15 @@ TEST(Engine, ChunkedExecutionMatchesWholeRange) {
 }
 
 TEST(Engine, SupportedWidths) {
-  // The specialized burns are always registered, on every host.
+  // Widths 1-8 are always registered, on every host.
   EXPECT_TRUE(isSupportedWidth(1));
   EXPECT_TRUE(isSupportedWidth(2));
   EXPECT_TRUE(isSupportedWidth(4));
   EXPECT_TRUE(isSupportedWidth(8));
   EXPECT_FALSE(isSupportedWidth(3));
-  // Width 16 is runtime-width only and host-dependent (registered when
-  // the probed ISA has vectors wide enough to make it plausible); the
-  // answer must agree with the registry either way.
+  // Width 16 is host-dependent (registered when the probed ISA has
+  // vectors wide enough to make it plausible); the answer must agree with
+  // the registry either way.
   EXPECT_EQ(isSupportedWidth(16),
             BackendRegistry::global().supportsWidth(16));
 }

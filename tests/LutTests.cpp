@@ -4,6 +4,7 @@
 #include "easyml/Sema.h"
 #include "exec/CompiledModel.h"
 #include "runtime/Lut.h"
+#include "sim/Simulator.h"
 
 #include <cmath>
 #include <gtest/gtest.h>
@@ -171,6 +172,56 @@ TEST(LutAnalysis, CheapExprsNotTabulated) {
   ModelProgram P = buildModelProgram(Info);
   // Linear Vm arithmetic is cheaper than an interpolation.
   EXPECT_EQ(P.Luts.totalColumns(), 0u);
+}
+
+bool containsLutRef(const easyml::Expr &E) {
+  if (E.Kind == easyml::ExprKind::LutRef)
+    return true;
+  for (const easyml::ExprPtr &Op : E.Operands)
+    if (containsLutRef(*Op))
+      return true;
+  return false;
+}
+
+// Two lookup variables: once the Vm table's columns are LutRefs, an
+// expression of y and a Vm column, (a_inf - y)/tau_a, reads to
+// exprFreeVars as a function of y alone. It must stay in the kernel: as a
+// y column it would be built without the Vm it depends on.
+constexpr const char kTwoTableModel[] =
+    "Vm; .external(); .nodal(); .lookup(-100, 100, 0.05);\n"
+    "Iion; .external(); .nodal();\nVm_init = -80.0;\n"
+    "y; .lookup(0, 1, 0.005);\ny_init = 0.3;\n"
+    "a_inf = 1.0/(1.0 + exp(-(Vm + 40.0)/8.0));\n"
+    "tau_a = 2.0 + 3.0*exp(-(Vm + 50.0)/20.0);\n"
+    "diff_y = (a_inf - y)/tau_a;\n"
+    "Iion = 0.1*y*(Vm + 80.0) + exp(-y);\n";
+
+TEST(LutAnalysis, NoTableTabulatesAnotherTablesColumns) {
+  auto Info = infoOf(kTwoTableModel);
+  ModelProgram P = buildModelProgram(Info);
+  ASSERT_EQ(P.Luts.Tables.size(), 2u);
+  EXPECT_GE(P.Luts.Tables[0].Columns.size(), 2u); // a_inf, tau_a
+  for (const LutTablePlan &T : P.Luts.Tables)
+    for (const easyml::ExprPtr &Col : T.Columns)
+      EXPECT_FALSE(containsLutRef(*Col))
+          << T.Spec.VarName << " column " << easyml::printExpr(*Col);
+
+  // The LUT run stays within interpolation error of the exact one.
+  EngineConfig NoLut = EngineConfig::baseline();
+  NoLut.EnableLuts = false;
+  auto A = CompiledModel::compile(Info, EngineConfig::baseline());
+  auto B = CompiledModel::compile(Info, NoLut);
+  ASSERT_TRUE(A && B);
+  sim::SimOptions Opts;
+  Opts.NumCells = 8;
+  Opts.NumSteps = 200;
+  sim::Simulator S1(*A, Opts), S2(*B, Opts);
+  S1.run();
+  S2.run();
+  for (int64_t C = 0; C != Opts.NumCells; ++C) {
+    EXPECT_NEAR(S1.vm(C), S2.vm(C), 0.75) << "cell " << C;
+    EXPECT_NEAR(S1.stateOf(C, 0), S2.stateOf(C, 0), 2e-5) << "cell " << C;
+  }
 }
 
 //===----------------------------------------------------------------------===//

@@ -876,22 +876,13 @@ int main(int argc, char **argv) {
           return 1;
         }
         EMod.emplace(std::move(*Built));
-        // Native tier for the lowered kernel, keyed off the base compile
-        // key extended with the lowering (the base model's cached .so
-        // must never serve the lowered program).
         if (Tier != exec::EngineTier::VM) {
-          uint64_t LowerKey = compiler::fnv1a64("ensemble", R.CacheKey);
-          for (const std::string &P : EMod->Swept)
-            LowerKey = compiler::fnv1a64(P, LowerKey);
-          compiler::NativeAttachResult N = compiler::getOrEmitNativeKernel(
-              *EMod->Model, LowerKey, Name + "_ensemble");
-          if (N)
-            EMod->Model->attachNative(std::move(N.Kernel));
-          else if (Tier == exec::EngineTier::Native)
+          Status St = sim::attachNativeKernel(*EMod, R.CacheKey, Name);
+          if (!St && Tier == exec::EngineTier::Native)
             std::fprintf(stderr,
                          "warning: native tier unavailable for the "
                          "ensemble kernel, running on the VM: %s\n",
-                         N.Err.message().c_str());
+                         St.message().c_str());
         }
         auto ER = std::make_unique<sim::EnsembleRunner>(*EMod, Opts);
         std::string SweptNames;
