@@ -156,7 +156,8 @@ if [ $FAST = 1 ]; then
   skip_job "daemon-smoke" "--fast"
 elif [ -n "$SMOKE_BUILD" ] && [ -x "$SMOKE_BUILD/tools/limpetd" ]; then
   run_job "daemon-smoke" scripts/daemon_smoke.sh \
-    "$SMOKE_BUILD/tools/limpetd" "$SMOKE_BUILD/tools/limpetctl"
+    "$SMOKE_BUILD/tools/limpetd" "$SMOKE_BUILD/tools/limpetctl" \
+    "$SMOKE_BUILD/tools/limpetc"
 else
   skip_job "daemon-smoke" "no built limpetd found"
 fi
@@ -202,6 +203,8 @@ EOF
   }
   run_job "bench-smoke" bench_smoke
   run_job "bench-compare-selftest" python3 scripts/bench_compare.py --selftest
+  # perfbench/ builds src/ into its own tree; nothing else compiles it.
+  run_job "perfbench-test" python3 perfbench/run.py --test
   # Blocking comparison against the committed baseline, with the same
   # generous cross-machine tolerance CI uses for absolute rows (override
   # the env to tighten locally; re-bless with --bless after intentional

@@ -6,26 +6,35 @@
 #
 #  1. Liveness: start limpetd, ping it.
 #  2. A clean job runs to "finished" and reports a state checksum.
-#  3. Fault isolation: a job with an unknown model fails alone (exit 4)
+#  3. One run description, two entry points: limpetc --run --guard and
+#     the same flags submitted through limpetctl end with the same
+#     checksum to all 17 digits (plain, vector, tissue and sweep runs,
+#     the sweep with the same quarantine count), and limpetc rejects a
+#     spec admission rejects (exit 1).
+#  4. Fault isolation: a job with an unknown model fails alone (exit 4)
 #     and the daemon keeps serving.
-#  4. Backpressure: a structurally invalid spec is rejected (exit 3)
+#  5. Backpressure: a structurally invalid spec is rejected (exit 3)
 #     with a machine-readable reason, not a dropped connection.
-#  5. Cancellation: a long-running job cancelled mid-run reaches the
+#  6. Cancellation: a long-running job cancelled mid-run reaches the
 #     "cancelled" terminal state (exit 5).
-#  6. Durable queue recovery: SIGKILL the daemon while a checkpointing
+#  7. Durable queue recovery: SIGKILL the daemon while a checkpointing
 #     job is mid-run; a restarted daemon replays it from its newest
 #     valid checkpoint and its final checksum is bit-identical to an
 #     uninterrupted run of the same spec.
-#  7. Graceful drain: the shutdown verb stops the daemon with exit 0.
+#  8. Graceful drain: the shutdown verb stops the daemon with exit 0.
 #
-# Usage: daemon_smoke.sh <path-to-limpetd> <path-to-limpetctl>
+# Usage: daemon_smoke.sh <limpetd> <limpetctl> [<limpetc>]
+# (limpetc defaults to the one next to limpetd)
 #
 #===----------------------------------------------------------------------===#
 
 set -euo pipefail
 
-LIMPETD=${1:?usage: daemon_smoke.sh <path-to-limpetd> <path-to-limpetctl>}
-LIMPETCTL=${2:?usage: daemon_smoke.sh <path-to-limpetd> <path-to-limpetctl>}
+USAGE="usage: daemon_smoke.sh <limpetd> <limpetctl> [<limpetc>]"
+LIMPETD=${1:?$USAGE}
+LIMPETCTL=${2:?$USAGE}
+LIMPETC=${3:-$(dirname "$LIMPETD")/limpetc}
+[ -x "$LIMPETC" ] || { echo "daemon_smoke: no limpetc at $LIMPETC" >&2; exit 1; }
 WORK=$(mktemp -d "${TMPDIR:-/tmp}/limpet-daemon-smoke.XXXXXX")
 DPID=""
 cleanup() {
@@ -81,7 +90,46 @@ REF=$(checksum_of_event "$WORK/ref.out")
 [ -n "$REF" ] || fail "finished event carried no checksum"
 echo "daemon_smoke: clean job finished, checksum $REF"
 
-# --- 3. fault isolation ------------------------------------------------------
+# --- 3. one spec through limpetc and limpetd ---------------------------------
+# Both build the run from one RunSpec through sim::buildRun, and both
+# print the checksum as %.17g, so the strings must be equal.
+parity() { # <tag> <flags shared by limpetc --run and limpetctl submit>
+  local tag=$1
+  shift
+  "$LIMPETC" $MODEL --run --guard "$@" >"$WORK/$tag.limpetc.out" 2>&1 \
+    || fail "$tag: limpetc --run failed (see $WORK/$tag.limpetc.out)"
+  ctl submit --model $MODEL "$@" --wait >"$WORK/$tag.ctl.out" 2>&1 \
+    || fail "$tag: limpetd job did not finish"
+  local cli daemon
+  cli=$(grep 'state checksum' "$WORK/$tag.limpetc.out" | sed 's/.*= //')
+  daemon=$(checksum_of_event "$WORK/$tag.ctl.out")
+  [ -n "$cli" ] && [ "$cli" = "$daemon" ] \
+    || fail "$tag: limpetc checksum '$cli' != limpetd checksum '$daemon'"
+  echo "daemon_smoke: $tag: limpetc = limpetd = $cli"
+}
+parity plain --cells 64 --steps 2000
+parity vec8 --cells 64 --steps 2000 --width 8
+parity tissue --tissue 16x8 --steps 2000
+parity sweep --sweep 'gNa=100,1e9,140' --member-cells 4 --steps 2000
+grep -q '^ensemble members: 2 ok, 1 quarantined$' "$WORK/sweep.limpetc.out" \
+  || fail "limpetc sweep did not quarantine exactly the poison member"
+grep -q '"members_quarantined":1' "$WORK/sweep.ctl.out" \
+  || fail "limpetd sweep did not quarantine exactly the poison member"
+# --width 8 means limpetMLIR at width 8 to both tools.
+grep -aq '"width":8,"layout":"aosoa","fastmath":true' "$STATE/journal.lmpj" \
+  || fail "limpetctl --width 8 did not submit the limpetmlir configuration"
+# limpetc rejects what admission rejects, before it compiles.
+for bad in "--cells 0" "--steps -5" "--dt 0" "--tissue 8 --dx 0"; do
+  set +e
+  # shellcheck disable=SC2086
+  "$LIMPETC" $MODEL --run $bad >"$WORK/bad.out" 2>&1
+  RC=$?
+  set -e
+  [ "$RC" = 1 ] || fail "limpetc --run $bad exited $RC, want 1"
+done
+echo "daemon_smoke: limpetc rejects invalid run fields like admission"
+
+# --- 4. fault isolation ------------------------------------------------------
 set +e
 ctl submit --model NoSuchModel --wait >"$WORK/fault.out" 2>&1
 RC=$?
@@ -90,7 +138,7 @@ set -e
 ctl ping >/dev/null || fail "daemon unhealthy after a failed job"
 echo "daemon_smoke: faulting job failed alone, daemon healthy"
 
-# --- 4. admission rejects bad specs -----------------------------------------
+# --- 5. admission rejects bad specs -----------------------------------------
 set +e
 ctl submit --model $MODEL --cells 0 --wait >"$WORK/reject.out" 2>&1
 RC=$?
@@ -100,7 +148,7 @@ grep -q '"event":"rejected"' "$WORK/reject.out" \
   || fail "rejection carried no machine-readable event"
 echo "daemon_smoke: invalid spec rejected with reason"
 
-# --- 5. cancellation ---------------------------------------------------------
+# --- 6. cancellation ---------------------------------------------------------
 ctl submit --model $MODEL --cells 64 --steps 200000000 \
   --checkpoint-every 50000 >"$WORK/cancel-submit.out" \
   || fail "long job submit failed"
@@ -115,7 +163,7 @@ set -e
 [ "$RC" = 5 ] || fail "cancelled job exited $RC, want 5 (cancelled)"
 echo "daemon_smoke: mid-run cancel reached the cancelled state"
 
-# --- 6. SIGKILL -> restart -> replay bit-identical ---------------------------
+# --- 7. SIGKILL -> restart -> replay bit-identical ---------------------------
 # ~5 s of stepping at scalar speed: long enough that the kill lands
 # mid-run with checkpoints on disk, short enough that replay + reference
 # stay well inside the test budget.
@@ -159,7 +207,7 @@ REPLAY_REF=$(checksum_of_event "$WORK/replay-ref.out")
   || fail "replayed job diverged: replayed=$REPLAYED ref=$REPLAY_REF"
 echo "daemon_smoke: SIGKILL -> restart -> replay bit-identical OK"
 
-# --- 7. graceful drain -------------------------------------------------------
+# --- 8. graceful drain -------------------------------------------------------
 ctl shutdown >/dev/null || fail "shutdown verb failed"
 wait "$DPID" && RC=0 || RC=$?
 DPID=""

@@ -18,3 +18,10 @@ std::string_view codegen::stateLayoutName(StateLayout L) {
   }
   limpet_unreachable("invalid layout");
 }
+
+std::optional<StateLayout> codegen::stateLayoutFromName(std::string_view N) {
+  for (StateLayout L : {StateLayout::AoS, StateLayout::SoA, StateLayout::AoSoA})
+    if (stateLayoutName(L) == N)
+      return L;
+  return std::nullopt;
+}

@@ -10,6 +10,7 @@
 
 #include <cassert>
 #include <cstdint>
+#include <optional>
 #include <string>
 
 namespace limpet {
@@ -23,6 +24,8 @@ enum class StateLayout : uint8_t {
 };
 
 std::string_view stateLayoutName(StateLayout L);
+/// Inverse of stateLayoutName; nullopt for an unknown name.
+std::optional<StateLayout> stateLayoutFromName(std::string_view Name);
 
 /// Flat element index of (cell, sv) for a given layout.
 ///   AoS:    cell*NumSv + Sv

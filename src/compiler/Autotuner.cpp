@@ -44,14 +44,10 @@ std::optional<TunePoint> TunePoint::fromName(std::string_view Name) {
   std::string_view TierS = Name.substr(S2 + 1);
 
   TunePoint P;
-  if (LayoutS == "aos")
-    P.Layout = StateLayout::AoS;
-  else if (LayoutS == "soa")
-    P.Layout = StateLayout::SoA;
-  else if (LayoutS == "aosoa")
-    P.Layout = StateLayout::AoSoA;
-  else
+  std::optional<StateLayout> Layout = stateLayoutFromName(LayoutS);
+  if (!Layout)
     return std::nullopt;
+  P.Layout = *Layout;
 
   if (WidthS.size() < 2 || WidthS[0] != 'w')
     return std::nullopt;

@@ -228,14 +228,12 @@ CompileResult CompilerDriver::compileSource(std::string_view Name,
   return Cold;
 }
 
-void CompilerDriver::attachNativeTier(CompileResult &R) {
-  if (Opts.Tier == exec::EngineTier::VM || !R)
-    return;
-  NativeAttachResult N =
-      getOrEmitNativeKernel(*R.Model, R.CacheKey, R.ModelName);
+void compiler::attachNativeKernel(CompileResult &R, exec::CompiledModel &M,
+                                  uint64_t Key, std::string_view KernelName) {
+  NativeAttachResult N = getOrEmitNativeKernel(M, Key, KernelName);
   R.NativeKey = N.Key;
   if (N) {
-    R.Model->attachNative(std::move(N.Kernel));
+    M.attachNative(std::move(N.Kernel));
     R.NativeAttached = true;
     R.NativeCacheHit = N.MemoryHit || N.DiskHit;
     R.NativeDiskHit = N.DiskHit;
@@ -244,6 +242,11 @@ void CompilerDriver::attachNativeTier(CompileResult &R) {
   // The fallback ladder's last rung: the model keeps its VM engine and
   // the reason is reported (Native) or available on request (Auto).
   R.NativeErr = N.Err;
+}
+
+void CompilerDriver::attachNativeTier(CompileResult &R) {
+  if (Opts.Tier != exec::EngineTier::VM && R)
+    attachNativeKernel(R, *R.Model, R.CacheKey, R.ModelName);
 }
 
 CompileResult CompilerDriver::compileCold(std::string_view Name,

@@ -126,6 +126,11 @@ struct CompileResult {
   explicit operator bool() const { return Model.has_value(); }
 };
 
+/// Attaches a native kernel to \p M (compile-cache key \p Key), recording
+/// the outcome in \p R; a failure leaves \p M on its VM engine.
+void attachNativeKernel(CompileResult &R, exec::CompiledModel &M, uint64_t Key,
+                        std::string_view KernelName);
+
 class CompilerDriver {
 public:
   explicit CompilerDriver(DriverOptions Opts = {}) : Opts(std::move(Opts)) {}

@@ -1,11 +1,10 @@
 //===- JobRunner.h - One job, admission to terminal state -------*- C++-*-===//
 //
-// Executes a single accepted job end to end: resolve the model, compile
-// it through the CompilerDriver (content-addressed cache, so repeat jobs
-// skip codegen), probe and prepare the job's checkpoint directory, run
-// the Simulator with the job's cancel token and progress stream, and map
-// the outcome to a terminal JobState with its journal record, NDJSON
-// event, and on-disk result file.
+// Executes a single accepted job end to end: build it through
+// sim::buildRun (limpetc --run's assembly too: cached compile, tier,
+// checkpoint-dir probe, simulator) with the job's threads, cancel token
+// and progress stream, run it, and map the outcome to a terminal JobState
+// with its journal record, NDJSON event, and on-disk result file.
 //
 // Fault isolation is the point: every failure mode — unknown model,
 // compile error, invalid config, unwritable state dir — lands in a

@@ -4,8 +4,6 @@
 
 #include "codegen/KernelSpec.h"
 #include "sim/Diffusion.h"
-#include "sim/Ensemble.h"
-#include "sim/Stimulus.h"
 
 #include <cstdio>
 
@@ -80,15 +78,11 @@ static Status parseConfig(const JsonValue &Body, exec::EngineConfig &Cfg) {
   if (const JsonValue *L = C->find("layout")) {
     if (!L->isString())
       return Status::error("'layout' must be a string");
-    const std::string &Name = L->asString();
-    if (Name == "aos")
-      Cfg.Layout = codegen::StateLayout::AoS;
-    else if (Name == "soa")
-      Cfg.Layout = codegen::StateLayout::SoA;
-    else if (Name == "aosoa")
-      Cfg.Layout = codegen::StateLayout::AoSoA;
-    else
-      return Status::error("unknown layout '" + Name + "'");
+    std::optional<codegen::StateLayout> Layout =
+        codegen::stateLayoutFromName(L->asString());
+    if (!Layout)
+      return Status::error("unknown layout '" + L->asString() + "'");
+    Cfg.Layout = *Layout;
   }
   Cfg.FastMath = C->boolOr("fastmath", Cfg.FastMath);
   Cfg.EnableLuts = C->boolOr("luts", Cfg.EnableLuts);
@@ -106,35 +100,21 @@ Expected<JobSpec> daemon::parseJobSpec(const JsonValue &Body) {
   if (Spec.Tenant.empty())
     return Status::error("'tenant' must be non-empty");
   Spec.Priority = int(Body.intOr("priority", 0));
+  Spec.ProgressEvery = Body.intOr("progress_every", 0);
   Spec.Model = Body.stringOr("model", "");
-  if (Spec.Model.empty())
-    return Status::error("'model' is required");
   Spec.NumCells = Body.intOr("cells", Spec.NumCells);
   Spec.NumSteps = Body.intOr("steps", Spec.NumSteps);
   Spec.Dt = Body.numberOr("dt", Spec.Dt);
-  if (Spec.NumCells <= 0 || Spec.NumSteps <= 0)
-    return Status::error("'cells' and 'steps' must be positive");
-  if (!(Spec.Dt > 0))
-    return Status::error("'dt' must be positive");
   Spec.Guard = Body.boolOr("guard", Spec.Guard);
   Spec.Autotune = Body.boolOr("autotune", Spec.Autotune);
   Spec.TimeoutSec = Body.numberOr("timeout_sec", 0);
-  if (Spec.TimeoutSec < 0)
-    return Status::error("'timeout_sec' must be non-negative");
   Spec.CheckpointEveryN = Body.intOr("checkpoint_every", -1);
   if (Spec.CheckpointEveryN < -1)
     Spec.CheckpointEveryN = -1;
-  Spec.ProgressEvery = Body.intOr("progress_every", 0);
   Spec.TissueNX = Body.intOr("tissue_nx", 0);
   Spec.TissueNY = Body.intOr("tissue_ny", 1);
-  if (Spec.TissueNX < 0 || Spec.TissueNY < 1)
-    return Status::error("'tissue_nx' must be >= 0, 'tissue_ny' >= 1");
   Spec.TissueDx = Body.numberOr("tissue_dx", Spec.TissueDx);
   Spec.TissueSigma = Body.numberOr("tissue_sigma", Spec.TissueSigma);
-  if (!(Spec.TissueDx > 0))
-    return Status::error("'tissue_dx' must be positive");
-  if (Spec.TissueSigma < 0)
-    return Status::error("'tissue_sigma' must be non-negative");
   if (const JsonValue *DM = Body.find("tissue_method")) {
     if (!DM->isString())
       return Status::error("'tissue_method' must be a string");
@@ -145,31 +125,8 @@ Expected<JobSpec> daemon::parseJobSpec(const JsonValue &Body) {
     Spec.TissueMethod = uint8_t(*D);
   }
   Spec.TissueStim = Body.stringOr("tissue_stim", "");
-  if (!Spec.TissueStim.empty()) {
-    // Reject a malformed protocol at submit time, not when the job runs.
-    sim::TissueGrid G{Spec.TissueNX > 0 ? Spec.TissueNX : 1, Spec.TissueNY,
-                      Spec.TissueDx};
-    Expected<sim::StimulusProtocol> P =
-        sim::StimulusProtocol::parse(Spec.TissueStim, G);
-    if (!P)
-      return P.status();
-  }
   Spec.EnsembleSweep = Body.stringOr("ensemble_sweep", "");
   Spec.EnsembleCellsPer = Body.intOr("ensemble_cells_per", 1);
-  if (Spec.EnsembleCellsPer < 1)
-    return Status::error("'ensemble_cells_per' must be >= 1");
-  if (!Spec.EnsembleSweep.empty()) {
-    if (Spec.TissueNX > 0)
-      return Status::error(
-          "'ensemble_sweep' and 'tissue_nx' are mutually exclusive");
-    // Reject a malformed sweep at submit time, not when the job runs; the
-    // model-specific checks (unknown parameter names) stay with the
-    // runner, which owns the compiled model.
-    Expected<sim::EnsembleSpec> E = sim::EnsembleSpec::fromSweep(
-        Spec.EnsembleSweep, Spec.EnsembleCellsPer);
-    if (!E)
-      return E.status();
-  }
   if (const JsonValue *E = Body.find("engine")) {
     if (!E->isString())
       return Status::error("'engine' must be a string");
@@ -182,7 +139,8 @@ Expected<JobSpec> daemon::parseJobSpec(const JsonValue &Body) {
   }
   if (Status S = parseConfig(Body, Spec.Config); !S)
     return S;
-  if (Status S = Spec.Config.validate(); !S)
+  // Rejects a malformed run at submit time, not when the job runs.
+  if (Status S = Spec.validate(); !S)
     return S;
   return Spec;
 }
@@ -194,11 +152,8 @@ JsonValue daemon::jobSpecToJson(const JobSpec &Spec) {
     Cfg.set("width", JsonValue::string("auto"));
   else
     Cfg.set("width", JsonValue::number(int64_t(Spec.Config.Width)));
-  const char *Layout = Spec.Config.Layout == codegen::StateLayout::SoA ? "soa"
-                       : Spec.Config.Layout == codegen::StateLayout::AoSoA
-                           ? "aosoa"
-                           : "aos";
-  Cfg.set("layout", JsonValue::string(Layout));
+  Cfg.set("layout",
+          JsonValue::string(codegen::stateLayoutName(Spec.Config.Layout)));
   Cfg.set("fastmath", JsonValue::boolean(Spec.Config.FastMath));
   Cfg.set("luts", JsonValue::boolean(Spec.Config.EnableLuts));
   Cfg.set("cubic", JsonValue::boolean(Spec.Config.CubicLut));

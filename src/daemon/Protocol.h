@@ -15,7 +15,7 @@
 #define LIMPET_DAEMON_PROTOCOL_H
 
 #include "daemon/Json.h"
-#include "exec/CompiledModel.h"
+#include "sim/Run.h"
 #include "support/Status.h"
 
 #include <cstdint>
@@ -42,70 +42,24 @@ enum class JobState : uint8_t {
 std::string_view jobStateName(JobState S);
 bool jobStateTerminal(JobState S);
 
-/// Everything a `submit` request specifies about one simulation job.
+/// Everything a `submit` request specifies: the run (the sim::RunSpec
+/// limpetc --run builds from its flags) plus the daemon's own fields.
 /// Serialized verbatim into the journal's Accepted record, so a replayed
 /// job re-runs under exactly the spec its client submitted.
-struct JobSpec {
+struct JobSpec : sim::RunSpec {
   uint64_t Id = 0; ///< assigned by the daemon at admission
   std::string Tenant = "default";
   /// Larger runs first among a tenant's queued jobs, and only a
   /// higher-priority submit may shed a queued lower-priority job.
   int Priority = 0;
-  std::string Model; ///< registry model name
-
-  // Simulation protocol (Simulator defaults when omitted on the wire).
-  int64_t NumCells = 256;
-  int64_t NumSteps = 1000;
-  double Dt = 0.01;
-  bool Guard = true;
-
-  /// Wall-clock execution budget in seconds (0 = none). Measures run
-  /// time, not queue wait: a job that waits out a burst is not punished
-  /// for the daemon's backlog.
-  double TimeoutSec = 0;
-  /// Durable checkpoint cadence in steps: >0 is an explicit cadence,
-  /// 0 opts out of periodic checkpoints (final checkpoint only), and -1
-  /// (the omitted-on-the-wire default) takes the daemon's default
-  /// cadence — jobs are resumable by default.
-  int64_t CheckpointEveryN = -1;
   /// Progress event cadence in steps (0 = no progress streaming).
   int64_t ProgressEvery = 0;
-
-  // Tissue protocol ("tissue_nx" > 0 engages the reaction-diffusion
-  // driver; the grid's node count then replaces NumCells). Serialized
-  // into the journal like every other field, so a replayed tissue job
-  // resumes against a checkpoint carrying the identical geometry.
-  int64_t TissueNX = 0; ///< 0 = plain uncoupled population
-  int64_t TissueNY = 1;
-  double TissueDx = 0.025;    ///< node spacing, cm
-  double TissueSigma = 0.001; ///< effective diffusivity, cm^2/ms
-  uint8_t TissueMethod = 0;   ///< sim::DiffusionMethod
-  std::string TissueStim;     ///< --stim grammar; "" = default edge train
-
-  // Ensemble protocol (a non-empty "ensemble_sweep" engages the
-  // fault-isolated parameter-sweep runner; the sweep's member count then
-  // replaces NumCells). Admission validates the grid grammar against
-  // sim::EnsembleSpec::fromSweep, so a malformed sweep is rejected at
-  // submit, and the journal carries the same string so a replayed sweep
-  // resumes against a checkpoint with the identical spec hash.
-  std::string EnsembleSweep;    ///< sim::EnsembleSpec::fromSweep grammar
-  int64_t EnsembleCellsPer = 1; ///< cells each member simulates
-
-  exec::EngineConfig Config; ///< engine configuration (baseline default)
-  /// With "width": "auto" and no persisted tuning record: run the width
-  /// autotuner (benchmark every registry point, persist the winner)
-  /// instead of falling back to the capability heuristic.
-  bool Autotune = false;
-  /// Execution tier ("engine" on the wire: vm/native/auto, default vm).
-  /// Native/auto jobs attach a specialized dlopen'd kernel when the box
-  /// has a toolchain and fall back to the VM when it doesn't — a submit
-  /// never fails because the daemon host lacks a compiler.
-  exec::EngineTier Tier = exec::EngineTier::VM;
 };
 
 /// Parses the body of a `submit` request (also the journal payload).
-/// Unknown fields are ignored; structurally invalid specs (missing
-/// model, non-positive counts, bad layout name) are recoverable errors.
+/// Unknown fields are ignored; a spec that fails to parse (bad layout
+/// name, unknown engine) or sim::RunSpec::validate (missing model,
+/// non-positive counts, malformed sweep) is a recoverable error.
 Expected<JobSpec> parseJobSpec(const JsonValue &Body);
 
 /// The spec as a JSON object — the journal payload and the `status`

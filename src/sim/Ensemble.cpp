@@ -3,8 +3,6 @@
 #include "sim/Ensemble.h"
 
 #include "compiler/Artifact.h"
-#include "compiler/KernelEmitter.h"
-#include "compiler/Serialize.h"
 #include "daemon/Json.h"
 #include "support/Telemetry.h"
 #include "support/Trace.h"
@@ -235,14 +233,6 @@ Expected<EnsembleSpec> EnsembleSpec::fromJson(std::string_view Json,
   return Spec;
 }
 
-Expected<EnsembleSpec> EnsembleSpec::fromJsonFile(const std::string &Path,
-                                                  int64_t CellsPerMember) {
-  std::string Bytes;
-  if (Status S = compiler::readFileBytes(Path, Bytes); !S)
-    return S;
-  return fromJson(Bytes, CellsPerMember);
-}
-
 //===----------------------------------------------------------------------===//
 // MemberReport
 //===----------------------------------------------------------------------===//
@@ -349,19 +339,6 @@ SimOptions ensembleOpts(const EnsembleModel &EM, SimOptions Opts) {
   return Opts;
 }
 } // namespace
-
-Status sim::attachNativeKernel(EnsembleModel &EM, uint64_t BaseKey,
-                               std::string_view ModelName) {
-  uint64_t Key = compiler::fnv1a64("ensemble", BaseKey);
-  for (const std::string &P : EM.Swept)
-    Key = compiler::fnv1a64(P, Key);
-  compiler::NativeAttachResult N = compiler::getOrEmitNativeKernel(
-      *EM.Model, Key, std::string(ModelName) + "_ensemble");
-  if (!N)
-    return N.Err;
-  EM.Model->attachNative(std::move(N.Kernel));
-  return Status::success();
-}
 
 EnsembleRunner::EnsembleRunner(const EnsembleModel &EMIn,
                                const SimOptions &OptsIn)

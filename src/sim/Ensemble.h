@@ -104,8 +104,6 @@ struct EnsembleSpec {
   /// form overrides \p CellsPerMember).
   static Expected<EnsembleSpec> fromJson(std::string_view Json,
                                          int64_t CellsPerMember = 1);
-  static Expected<EnsembleSpec> fromJsonFile(const std::string &Path,
-                                             int64_t CellsPerMember = 1);
 };
 
 /// Per-member outcome of an ensemble run, streamed as one NDJSON line
@@ -159,14 +157,6 @@ struct EnsembleModel {
 Expected<EnsembleModel> buildEnsembleModel(const easyml::ModelInfo &Info,
                                            EnsembleSpec Spec,
                                            const exec::EngineConfig &Cfg);
-
-/// Attaches a native kernel to \p EM's lowered model. The kernel is keyed
-/// off \p BaseKey, the base model's compile-cache key, extended with the
-/// lowering, so the base model's cached .so never serves the lowered
-/// program. On failure the model keeps its VM engine (bit-identical
-/// results) and the Status says why.
-Status attachNativeKernel(EnsembleModel &EM, uint64_t BaseKey,
-                          std::string_view ModelName);
 
 /// Steps a whole parameter sweep as one population. Member M owns the
 /// contiguous cell slice [M*CellsPerMember, (M+1)*CellsPerMember); the

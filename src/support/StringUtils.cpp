@@ -75,3 +75,17 @@ bool limpet::endsWith(std::string_view S, std::string_view Suffix) {
   return S.size() >= Suffix.size() &&
          S.substr(S.size() - Suffix.size()) == Suffix;
 }
+
+bool limpet::flagValue(int Argc, char **Argv, int &I, std::string_view Flag,
+                       std::string &Out) {
+  std::string_view Arg = Argv[I];
+  if (Arg.size() > Flag.size() && startsWith(Arg, Flag) &&
+      Arg[Flag.size()] == '=') {
+    Out = Arg.substr(Flag.size() + 1);
+    return true;
+  }
+  if (Arg != Flag || I + 1 >= Argc)
+    return false;
+  Out = Argv[++I];
+  return true;
+}

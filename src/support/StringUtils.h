@@ -39,6 +39,12 @@ bool startsWith(std::string_view S, std::string_view Prefix);
 /// Returns true if \p S ends with \p Suffix.
 bool endsWith(std::string_view S, std::string_view Suffix);
 
+/// The value of command-line flag \p Flag at argv[I], given as
+/// "--flag=value" or as "--flag value" (I then moves past the value).
+/// False when argv[I] is another flag or the value is missing.
+bool flagValue(int Argc, char **Argv, int &I, std::string_view Flag,
+               std::string &Out);
+
 } // namespace limpet
 
 #endif // LIMPET_SUPPORT_STRINGUTILS_H

@@ -17,12 +17,15 @@
 #include "daemon/Protocol.h"
 #include "daemon/SpscRing.h"
 #include "sim/Checkpoint.h"
+#include "sim/Run.h"
 #include "support/Telemetry.h"
 
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <gtest/gtest.h>
+#include <limits>
 #include <thread>
 #include <unistd.h>
 
@@ -503,6 +506,139 @@ TEST(DaemonJobSpec, EnsembleSweepRoundTripsAndValidatesAtAdmission) {
 }
 
 //===----------------------------------------------------------------------===//
+// RunSpec: one set of checks for limpetc and limpetd
+//===----------------------------------------------------------------------===//
+
+// Every invalid run field is rejected by RunSpec::validate, which limpetc
+// runs before it compiles, and admission rejects the wire form of the
+// same value with the same message.
+TEST(RunSpecValidate, RejectsEachInvalidRunFieldLikeAdmission) {
+  struct Case {
+    const char *Fields; ///< wire form, nullptr when the field is limpetc's
+    std::function<void(sim::RunSpec &)> Set;
+  };
+  const double NaN = std::numeric_limits<double>::quiet_NaN();
+  const Case Cases[] = {
+      {"\"model\":\"\"", [](sim::RunSpec &S) { S.Model.clear(); }},
+      {"\"cells\":0", [](sim::RunSpec &S) { S.NumCells = 0; }},
+      {"\"steps\":-5", [](sim::RunSpec &S) { S.NumSteps = -5; }},
+      {"\"dt\":0", [](sim::RunSpec &S) { S.Dt = 0; }},
+      {"\"dt\":-1", [](sim::RunSpec &S) { S.Dt = -1; }},
+      {nullptr, [&](sim::RunSpec &S) { S.Dt = NaN; }},
+      {"\"timeout_sec\":-1", [](sim::RunSpec &S) { S.TimeoutSec = -1; }},
+      {"\"tissue_nx\":-1", [](sim::RunSpec &S) { S.TissueNX = -1; }},
+      {"\"tissue_nx\":8,\"tissue_ny\":0",
+       [](sim::RunSpec &S) { S.TissueNX = 8, S.TissueNY = 0; }},
+      {"\"tissue_nx\":8,\"tissue_dx\":0",
+       [](sim::RunSpec &S) { S.TissueNX = 8, S.TissueDx = 0; }},
+      {"\"tissue_nx\":8,\"tissue_sigma\":-1",
+       [](sim::RunSpec &S) { S.TissueNX = 8, S.TissueSigma = -1; }},
+      {"\"tissue_nx\":8,\"tissue_stim\":\"warp:x=1\"",
+       [](sim::RunSpec &S) { S.TissueNX = 8, S.TissueStim = "warp:x=1"; }},
+      {"\"ensemble_sweep\":\"gK=1,2\",\"ensemble_cells_per\":0",
+       [](sim::RunSpec &S) { S.EnsembleSweep = "gK=1,2", S.EnsembleCellsPer = 0; }},
+      {"\"ensemble_sweep\":\"gK=\"",
+       [](sim::RunSpec &S) { S.EnsembleSweep = "gK="; }},
+      {"\"ensemble_sweep\":\"gK=1,2\",\"tissue_nx\":8",
+       [](sim::RunSpec &S) { S.EnsembleSweep = "gK=1,2", S.TissueNX = 8; }},
+      {nullptr,
+       [](sim::RunSpec &S) {
+         S.EnsembleSweep = "gK=1,2", S.EnsembleMembers = "[{\"gK\":1}]";
+       }},
+      {nullptr, [](sim::RunSpec &S) { S.EnsembleMembers = "[{\"gK\":"; }},
+      {"\"config\":{\"preset\":\"limpetmlir\",\"width\":3}",
+       [](sim::RunSpec &S) { S.Config = exec::EngineConfig::limpetMLIR(3); }},
+  };
+  sim::RunSpec Valid;
+  Valid.Model = "HodgkinHuxley";
+  ASSERT_TRUE(Valid.validate().isOk()) << Valid.validate().message();
+  for (const Case &C : Cases) {
+    sim::RunSpec S = Valid;
+    C.Set(S);
+    Status V = S.validate();
+    EXPECT_FALSE(V.isOk()) << "accepted: " << (C.Fields ? C.Fields : "");
+    if (!C.Fields)
+      continue;
+    Expected<JsonValue> Body = JsonValue::parse(
+        "{\"model\":\"HodgkinHuxley\"," + std::string(C.Fields) + "}");
+    ASSERT_TRUE(bool(Body)) << C.Fields;
+    Expected<JobSpec> J = parseJobSpec(*Body);
+    ASSERT_FALSE(bool(J)) << "admitted: " << C.Fields;
+    EXPECT_EQ(J.status().message(), V.message()) << C.Fields;
+  }
+}
+
+//===----------------------------------------------------------------------===//
+// RunSpec parity: buildRun directly and a limpetd job agree
+//===----------------------------------------------------------------------===//
+
+// One run description, two entry points: sim::buildRun as limpetc --run
+// calls it (one stepping thread), and the JSON wire form through
+// parseJobSpec and JobRunner::execute as a limpetd job (two stepping
+// threads). A plain run, a 2D tissue run with a stimulus protocol and a
+// sweep with one poison member end with the same checksum bit for bit,
+// and the sweep quarantines the same members, on the VM and, with a
+// toolchain, on the native tier.
+TEST(RunSpecParity, BuildRunAndDaemonJobAgreeBitForBit) {
+  std::string Dir = freshDir("runspec-parity");
+  Journal Jr(Dir + "/journal.lj");
+  ASSERT_TRUE(Jr.open().isOk());
+  JobRunner::Config RC;
+  RC.StateDir = Dir;
+  RC.SimThreads = 2;
+  JobRunner Runner(RC, Jr);
+
+  const char *Kinds[] = {
+      "\"cells\":37",
+      "\"tissue_nx\":12,\"tissue_ny\":8,"
+      "\"tissue_stim\":\"s1s2:period=300,count=2,s2=2,amp=40,dur=2,width=2\"",
+      "\"ensemble_sweep\":\"gNa=120,1e9,90\",\"ensemble_cells_per\":3",
+  };
+  std::vector<const char *> Tiers = {"vm"};
+  if (compiler::nativeToolchain())
+    Tiers.push_back("native");
+  uint64_t Id = 0;
+  for (const char *Tier : Tiers)
+    for (const char *Kind : Kinds) {
+      std::string Text = "{\"model\":\"HodgkinHuxley\",\"steps\":300,"
+                         "\"guard\":true,\"engine\":\"" +
+                         std::string(Tier) +
+                         "\",\"config\":{\"preset\":\"limpetmlir\","
+                         "\"width\":8}," +
+                         Kind + "}";
+      SCOPED_TRACE(Text);
+      Expected<JsonValue> Body = JsonValue::parse(Text);
+      ASSERT_TRUE(bool(Body));
+      Expected<JobSpec> Spec = parseJobSpec(*Body);
+      ASSERT_TRUE(bool(Spec)) << Spec.status().message();
+
+      Expected<std::unique_ptr<sim::Run>> Direct =
+          sim::buildRun(*Spec, sim::RunEnv());
+      ASSERT_TRUE(bool(Direct)) << Direct.status().message();
+      sim::Run &R = **Direct;
+      R.Sim->run();
+      EXPECT_EQ(R.steppingNative(), std::string(Tier) == "native");
+
+      auto J = std::make_shared<Job>();
+      J->Spec = *Spec;
+      J->Spec.Id = ++Id;
+      ASSERT_EQ(Runner.execute(*J), JobState::Finished) << J->Error;
+
+      double Want = R.Sim->stateChecksum();
+      uint64_t WantBits, GotBits;
+      std::memcpy(&WantBits, &Want, 8);
+      std::memcpy(&GotBits, &J->Checksum, 8);
+      EXPECT_EQ(GotBits, WantBits) << J->Checksum << " vs " << Want;
+      if (sim::EnsembleRunner *E = R.ensembleRunner()) {
+        EXPECT_EQ(E->membersQuarantined(), 1);
+        EXPECT_EQ(J->MembersQuarantined, E->membersQuarantined());
+        EXPECT_EQ(J->MembersOk, E->membersOk());
+      }
+    }
+  std::filesystem::remove_all(Dir);
+}
+
+//===----------------------------------------------------------------------===//
 // JobRunner: ensemble shutdown interruption
 //===----------------------------------------------------------------------===//
 
@@ -567,8 +703,9 @@ TEST(DaemonJobRunner, ShutdownDuringMemberDtFloorJournalsNonTerminal) {
 
 // An ensemble job asking for the native tier steps its lowered model on a
 // native kernel of its own (the base model's kernel cannot serve the
-// lowered program), and the sweep ends bit-identical to the VM job, the
-// poisoned member's quarantine included.
+// lowered program) and compiles no other: the base model is never
+// compiled. The sweep ends bit-identical to the VM job, the poisoned
+// member's quarantine included.
 TEST(DaemonJobRunner, NativeEnsembleStepsOnItsOwnKernelLikeTheVm) {
   if (!compiler::nativeToolchain())
     GTEST_SKIP() << "no native toolchain";
@@ -604,11 +741,11 @@ TEST(DaemonJobRunner, NativeEnsembleStepsOnItsOwnKernelLikeTheVm) {
   std::shared_ptr<Job> Nat = Run(2, exec::EngineTier::Native);
   EXPECT_EQ(Native() - Native0, 1u);
   EXPECT_EQ(Fallback() - Fallback0, 0u);
-  // Two kernels in the disk tier: the base model's and the lowered one.
+  // One kernel in the disk tier: the lowered model's.
   unsigned Kernels = 0;
   for (const auto &E : std::filesystem::directory_iterator(Dir + "/cache"))
     Kernels += E.path().string().find(".native.so") != std::string::npos;
-  EXPECT_EQ(Kernels, 2u);
+  EXPECT_EQ(Kernels, 1u);
 
   EXPECT_EQ(Nat->MembersOk, Vm->MembersOk);
   EXPECT_EQ(Nat->MembersQuarantined, 1);

@@ -21,7 +21,7 @@
 #include "compiler/Artifact.h"
 #include "compiler/CompileCache.h"
 #include "compiler/CompilerDriver.h"
-#include "compiler/KernelEmitter.h"
+#include "compiler/Serialize.h"
 #include "easyml/Preprocessor.h"
 #include "easyml/Sema.h"
 #include "exec/Backend.h"
@@ -29,9 +29,7 @@
 #include "ir/Context.h"
 #include "ir/Printer.h"
 #include "models/Registry.h"
-#include "sim/Ensemble.h"
-#include "sim/Simulator.h"
-#include "sim/TissueSimulator.h"
+#include "sim/Run.h"
 #include "support/StringUtils.h"
 #include "support/Telemetry.h"
 #include "support/Trace.h"
@@ -43,7 +41,6 @@
 #include <fstream>
 #include <memory>
 #include <optional>
-#include <sstream>
 
 using namespace limpet;
 
@@ -211,19 +208,6 @@ private:
   std::string Table;
 };
 
-/// Reads a whole file; nullopt when the file cannot be opened. An
-/// unreadable path used to read back as "" and silently compile as an
-/// empty model; now it is a hard error, while a genuinely empty file
-/// still reaches the frontend (which warns about the contentless model).
-std::optional<std::string> readFile(const char *Path) {
-  std::ifstream In(Path);
-  if (!In)
-    return std::nullopt;
-  std::ostringstream Ss;
-  Ss << In.rdbuf();
-  return Ss.str();
-}
-
 /// "cold", "warm-mem" or "warm-disk" for a compile result.
 const char *compileKind(const compiler::CompileResult &R) {
   if (!R.CacheHit)
@@ -244,7 +228,7 @@ const char *nativeKind(const compiler::CompileResult &R) {
 /// --engine=native and silent under --engine=auto (fallback by design).
 void reportNativeTier(const compiler::CompileResult &R,
                       exec::EngineTier Tier) {
-  if (Tier == exec::EngineTier::VM || !R)
+  if (Tier == exec::EngineTier::VM || !R.Err.isOk())
     return;
   if (R.NativeAttached) {
     std::fprintf(stderr, "native kernel %s: %s (key %016llx)\n",
@@ -267,6 +251,194 @@ void printSnapshots(const compiler::CompileResult &R) {
                   S.Snapshot.c_str());
 }
 
+/// Reports a successful compile of \p Model: the compile line, the
+/// auto-width choice and the native tier to stderr, the pass table to
+/// --stats.
+void reportCompile(const compiler::CompileResult &R,
+                   const exec::CompiledModel &Model, exec::EngineTier Tier,
+                   StatsReport &StatsOut) {
+  StatsOut.setPassStats(Model.kernel().PassStats);
+  std::fprintf(stderr, "compiled %s (%s): %s, %.2f ms\n", R.ModelName.c_str(),
+               exec::engineConfigName(Model.config()).c_str(), compileKind(R),
+               double(R.TotalNs) * 1e-6);
+  if (R.AutoSelected)
+    std::fprintf(stderr, "auto point: %s via %s (key %016llx)\n",
+                 R.AutoPointName.c_str(),
+                 std::string(compiler::tuneSourceName(R.AutoSource)).c_str(),
+                 (unsigned long long)R.TuneKey);
+  reportNativeTier(R, Tier);
+}
+
+/// --emit-artifact: serializes \p R's model to \p Path.
+bool emitArtifact(const compiler::CompileResult &R, const std::string &Path) {
+  std::string Bytes =
+      compiler::serializeArtifact(compiler::CompilerDriver::makeArtifact(
+          *R.Model, R.ModelName, R.SourceHash));
+  if (Status S = compiler::writeFileAtomic(Bytes, Path); !S) {
+    std::fprintf(stderr, "error: %s\n", S.message().c_str());
+    return false;
+  }
+  std::printf("wrote artifact %s (%zu bytes, source hash %016llx)\n",
+              Path.c_str(), Bytes.size(), (unsigned long long)R.SourceHash);
+  return true;
+}
+
+/// The --run flags that belong to limpetc, not to the run description.
+struct RunFlags {
+  std::string Cv;          ///< --cv A,B
+  std::string MemberStats; ///< --member-stats F
+  std::string EmitArtifact;
+  bool Resume = false;
+};
+
+/// limpetc --run: builds the run through sim::buildRun, the assembly
+/// limpetd's jobs use, then reports, runs and prints the outcome.
+/// Returns the process exit code.
+int runModel(const sim::RunSpec &Spec, const sim::RunEnv &Env,
+             const RunFlags &F, StatsReport &StatsOut) {
+  if (F.Resume && Env.CheckpointDir.empty()) {
+    std::fprintf(stderr, "error: --resume needs --checkpoint-dir\n");
+    return 1;
+  }
+  // --cv=A,B: probe node indices for the post-run conduction-velocity
+  // readout (tissue only).
+  long long CvA = -1, CvB = -1;
+  if (!F.Cv.empty()) {
+    if (!Spec.isTissue()) {
+      std::fprintf(stderr, "error: --cv needs --tissue\n");
+      return 1;
+    }
+    long long Nodes = Spec.TissueNX * Spec.TissueNY;
+    if (std::sscanf(F.Cv.c_str(), "%lld,%lld", &CvA, &CvB) != 2 || CvA < 0 ||
+        CvB < 0 || CvA == CvB || CvA >= Nodes || CvB >= Nodes) {
+      std::fprintf(stderr,
+                   "error: bad --cv spec '%s' (want two distinct node "
+                   "indices A,B inside the grid)\n",
+                   F.Cv.c_str());
+      return 1;
+    }
+  }
+
+  Expected<std::unique_ptr<sim::Run>> Built = sim::buildRun(Spec, Env);
+  if (!Built) {
+    std::fprintf(stderr, "error: %s\n", Built.status().message().c_str());
+    return 1;
+  }
+  sim::Run &R = **Built;
+  sim::Simulator &S = *R.Sim;
+  printSnapshots(R.Compile);
+  reportCompile(R.Compile, R.model(), Spec.Tier, StatsOut);
+  if (!F.EmitArtifact.empty() && !emitArtifact(R.Compile, F.EmitArtifact))
+    return 1;
+  sim::TissueSimulator *TissueSim = R.tissueSim();
+  sim::EnsembleRunner *EnsSim = R.ensembleRunner();
+  if (TissueSim) {
+    std::printf("tissue %lldx%lld: dx=%g cm, sigma=%g cm^2/ms, "
+                "diffusion=%s, stim=%s\n",
+                (long long)TissueSim->grid().NX,
+                (long long)TissueSim->grid().NY, TissueSim->grid().Dx,
+                TissueSim->tissueOptions().Sigma,
+                sim::diffusionMethodName(TissueSim->tissueOptions().Method),
+                TissueSim->stimulus().str().c_str());
+    if (CvA >= 0)
+      TissueSim->enableActivationMap(-20.0);
+  }
+  if (EnsSim) {
+    std::string SweptNames;
+    for (const std::string &P : R.Sweep->Swept)
+      SweptNames += (SweptNames.empty() ? "" : ",") + P;
+    std::printf("ensemble: %lld members x %lld cells (swept: %s)\n",
+                (long long)EnsSim->numMembers(),
+                (long long)EnsSim->cellsPerMember(), SweptNames.c_str());
+  }
+  if (!Env.CheckpointDir.empty())
+    sim::installShutdownHandlers();
+  if (F.Resume) {
+    sim::CheckpointStore Store(Env.CheckpointDir, Env.CheckpointRetain);
+    std::string CkptPath;
+    int Skipped = 0;
+    Expected<sim::CheckpointData> C =
+        Store.loadNewestValid(&CkptPath, &Skipped);
+    if (!C) {
+      std::fprintf(stderr, "error: %s\n", C.status().message().c_str());
+      return 1;
+    }
+    if (Status St = S.resumeFrom(*C); !St) {
+      std::fprintf(stderr, "error: %s\n", St.message().c_str());
+      return 1;
+    }
+    std::string Note =
+        Skipped ? " (" + std::to_string(Skipped) +
+                      " corrupt/truncated checkpoint(s) skipped)"
+                : "";
+    std::printf("resumed from %s at step %lld%s\n", CkptPath.c_str(),
+                (long long)C->StepCount, Note.c_str());
+  }
+
+  S.run();
+  // Print the simulator's (sanitized) options, not the raw flags.
+  std::printf("simulated %s (%s): %lld cells x %lld steps, t=%.2f ms\n",
+              Spec.Model.c_str(),
+              exec::engineConfigName(R.model().config()).c_str(),
+              (long long)S.options().NumCells,
+              (long long)S.options().NumSteps, S.time());
+  if (Spec.Tier != exec::EngineTier::VM)
+    std::printf("engine tier: %s\n",
+                R.steppingNative() ? "native" : "vm (fallback)");
+  if (S.interrupted())
+    std::printf("interrupted at step %lld (%s)%s%s\n",
+                (long long)S.stepsDone(),
+                std::string(sim::stopReasonName(S.stopReason())).c_str(),
+                Env.CheckpointDir.empty() ? ""
+                                          : ": final checkpoint written to ",
+                Env.CheckpointDir.c_str());
+  if (S.hasVoltageCoupling())
+    std::printf("final Vm[0] = %.6f mV\n", S.vm(0));
+  if (TissueSim && CvA >= 0) {
+    double CV = TissueSim->conductionVelocity(CvA, CvB);
+    if (std::isfinite(CV))
+      std::printf("conduction velocity = %.6g cm/ms (nodes %lld..%lld)\n",
+                  CV, CvA, CvB);
+    else
+      std::printf("conduction velocity = n/a (wavefront did not reach "
+                  "nodes %lld..%lld)\n",
+                  CvA, CvB);
+  }
+  if (EnsSim) {
+    // Partial-result delivery: quarantined members are reported, not
+    // fatal — the sweep still exits 0 with every member accounted for.
+    std::printf("ensemble members: %lld ok, %lld quarantined\n",
+                (long long)EnsSim->membersOk(),
+                (long long)EnsSim->membersQuarantined());
+    if (!F.MemberStats.empty()) {
+      std::ofstream Out(F.MemberStats, std::ios::binary | std::ios::trunc);
+      Out << EnsSim->memberStatsNdjson();
+      Out.flush();
+      if (!Out) {
+        std::fprintf(stderr, "error: cannot write member stats to %s\n",
+                     F.MemberStats.c_str());
+        return 1;
+      }
+      std::printf("wrote member stats: %s (%lld members)\n",
+                  F.MemberStats.c_str(), (long long)EnsSim->numMembers());
+    }
+  }
+  // %.17g round-trips the double: the same digits limpetd's terminal
+  // event carries, so the two compare textually.
+  std::printf("state checksum = %.17g\n", S.stateChecksum());
+  std::printf("guard rails: %s\n", Spec.Guard ? "on" : "off");
+  std::printf("%s", S.report().str().c_str());
+  bool Healthy = S.scanIsHealthy();
+  std::printf("population health: %s\n", Healthy ? "ok" : "FAULTY");
+  if (!Healthy)
+    return 2;
+  // Distinct recoverable exit for a deadline stop: scripts can tell
+  // "ran out of budget, resume later" (3) from "faulty" (2).
+  if (S.stopReason() == sim::StopReason::DeadlineExpired)
+    return 3;
+  return 0;
+}
+
 } // namespace
 
 int main(int argc, char **argv) {
@@ -281,7 +453,6 @@ int main(int argc, char **argv) {
   unsigned Width = 8;
   bool WidthSet = false;
   bool WidthAuto = false;
-  bool Autotune = false;
   bool TuneReport = false;
   codegen::StateLayout Layout = codegen::StateLayout::AoS;
   bool LayoutSet = false;
@@ -290,42 +461,19 @@ int main(int argc, char **argv) {
   bool PassesSet = false;
   std::vector<compiler::Stage> PrintIRAfter;
   bool PrintIRAll = false;
-  std::string EmitArtifactPath, LoadArtifactPath;
+  std::string LoadArtifactPath;
   bool UseCache = true;
-  int64_t RunSteps = 1000, RunCells = 256;
-  double RunDt = 0.01;
-  std::string TissueSpec, StimSpec, CvSpec;
-  std::string SweepSpec, EnsembleJsonPath, MemberStatsPath;
-  int64_t MemberCells = 1;
-  double TissueDx = 0.025, TissueSigma = 0.001;
-  sim::DiffusionMethod DiffMethod = sim::DiffusionMethod::FTCS;
-  bool RunGuard = false;
+  // --run: the run (limpetd's JobSpec is one too), where it writes and
+  // limpetc's own flags. Unguarded, final checkpoint only by default.
+  sim::RunSpec Spec;
+  Spec.Guard = false;
+  Spec.CheckpointEveryN = 0;
+  sim::RunEnv Env;
+  RunFlags RF;
   bool Stats = false;
   std::string TracePath;
-  std::string CkptDir;
-  int64_t CkptEvery = 0;
-  int64_t CkptRetain = 3;
-  double TimeoutSec = 0;
-  bool Resume = false;
   bool CacheGc = false;
   unsigned SuiteJobs = 0;
-  exec::EngineTier Tier = exec::EngineTier::VM;
-
-  // Accepts both "--flag value" and "--flag=value" for the valued flags
-  // below; returns the value through Out.
-  auto valued = [&](const std::string &Arg, int &I, const char *Flag,
-                    std::string &Out) {
-    size_t N = std::strlen(Flag);
-    if (Arg.compare(0, N, Flag) == 0 && Arg.size() > N && Arg[N] == '=') {
-      Out = Arg.substr(N + 1);
-      return true;
-    }
-    if (Arg == Flag && I + 1 < argc) {
-      Out = argv[++I];
-      return true;
-    }
-    return false;
-  };
 
   for (int I = 1; I < argc; ++I) {
     std::string Arg = argv[I];
@@ -363,27 +511,27 @@ int main(int argc, char **argv) {
     else if (Arg == "--cache-gc")
       CacheGc = true;
     else if (Arg == "--guard")
-      RunGuard = true;
+      Spec.Guard = true;
     else if (Arg == "--resume")
-      Resume = true;
-    else if (valued(Arg, I, "--checkpoint-dir", Val))
-      CkptDir = Val;
-    else if (valued(Arg, I, "--checkpoint-every", Val))
-      CkptEvery = std::atoll(Val.c_str());
-    else if (valued(Arg, I, "--retain", Val))
-      CkptRetain = std::atoll(Val.c_str());
-    else if (valued(Arg, I, "--timeout", Val))
-      TimeoutSec = std::atof(Val.c_str());
-    else if (valued(Arg, I, "--jobs", Val))
+      RF.Resume = true;
+    else if (flagValue(argc, argv, I, "--checkpoint-dir", Val))
+      Env.CheckpointDir = Val;
+    else if (flagValue(argc, argv, I, "--checkpoint-every", Val))
+      Spec.CheckpointEveryN = std::atoll(Val.c_str());
+    else if (flagValue(argc, argv, I, "--retain", Val))
+      Env.CheckpointRetain = std::atoi(Val.c_str());
+    else if (flagValue(argc, argv, I, "--timeout", Val))
+      Spec.TimeoutSec = std::atof(Val.c_str());
+    else if (flagValue(argc, argv, I, "--jobs", Val))
       SuiteJobs = unsigned(std::atoi(Val.c_str()));
-    else if (valued(Arg, I, "--engine", Val)) {
+    else if (flagValue(argc, argv, I, "--engine", Val)) {
       std::optional<exec::EngineTier> T = exec::engineTierFromName(Val);
       if (!T) {
         std::fprintf(stderr, "error: unknown engine '%s' (vm, native, auto)\n",
                      Val.c_str());
         return 1;
       }
-      Tier = *T;
+      Spec.Tier = *T;
     }
     else if (Arg == "--stats")
       Stats = true;
@@ -413,66 +561,76 @@ int main(int argc, char **argv) {
       PassesSpec = argv[++I];
       PassesSet = true;
     } else if (Arg == "--emit-artifact" && I + 1 < argc)
-      EmitArtifactPath = argv[++I];
+      RF.EmitArtifact = argv[++I];
     else if (Arg == "--load-artifact" && I + 1 < argc)
       LoadArtifactPath = argv[++I];
     else if (Arg == "--trace" && I + 1 < argc)
       TracePath = argv[++I];
     else if (Arg == "--steps" && I + 1 < argc)
-      RunSteps = std::atoll(argv[++I]);
+      Spec.NumSteps = std::atoll(argv[++I]);
     else if (Arg == "--cells" && I + 1 < argc)
-      RunCells = std::atoll(argv[++I]);
-    else if (valued(Arg, I, "--dt", Val))
-      RunDt = std::atof(Val.c_str());
-    else if (valued(Arg, I, "--tissue", Val))
-      TissueSpec = Val;
-    else if (valued(Arg, I, "--dx", Val))
-      TissueDx = std::atof(Val.c_str());
-    else if (valued(Arg, I, "--sigma", Val))
-      TissueSigma = std::atof(Val.c_str());
-    else if (valued(Arg, I, "--stim", Val))
-      StimSpec = Val;
-    else if (valued(Arg, I, "--cv", Val))
-      CvSpec = Val;
-    else if (valued(Arg, I, "--sweep", Val))
-      SweepSpec = Val;
-    else if (valued(Arg, I, "--ensemble", Val))
-      EnsembleJsonPath = Val;
-    else if (valued(Arg, I, "--member-cells", Val))
-      MemberCells = std::atoll(Val.c_str());
-    else if (valued(Arg, I, "--member-stats", Val))
-      MemberStatsPath = Val;
-    else if (valued(Arg, I, "--diffusion", Val)) {
+      Spec.NumCells = std::atoll(argv[++I]);
+    else if (flagValue(argc, argv, I, "--dt", Val))
+      Spec.Dt = std::atof(Val.c_str());
+    else if (flagValue(argc, argv, I, "--tissue", Val)) {
+      long long NX = 0, NY = 1;
+      char Sep = 0;
+      int N = std::sscanf(Val.c_str(), "%lld%c%lld", &NX, &Sep, &NY);
+      if ((N != 1 && (N != 3 || (Sep != 'x' && Sep != 'X'))) || NX < 1) {
+        std::fprintf(stderr,
+                     "error: bad --tissue spec '%s' (want NX or NXxNY)\n",
+                     Val.c_str());
+        return 1;
+      }
+      Spec.TissueNX = NX;
+      Spec.TissueNY = NY;
+    } else if (flagValue(argc, argv, I, "--dx", Val))
+      Spec.TissueDx = std::atof(Val.c_str());
+    else if (flagValue(argc, argv, I, "--sigma", Val))
+      Spec.TissueSigma = std::atof(Val.c_str());
+    else if (flagValue(argc, argv, I, "--stim", Val))
+      Spec.TissueStim = Val;
+    else if (flagValue(argc, argv, I, "--cv", Val))
+      RF.Cv = Val;
+    else if (flagValue(argc, argv, I, "--sweep", Val))
+      Spec.EnsembleSweep = Val;
+    else if (flagValue(argc, argv, I, "--ensemble", Val)) {
+      if (Status S = compiler::readFileBytes(Val, Spec.EnsembleMembers); !S) {
+        std::fprintf(stderr, "error: %s\n", S.message().c_str());
+        return 1;
+      }
+    }
+    else if (flagValue(argc, argv, I, "--member-cells", Val))
+      Spec.EnsembleCellsPer = std::atoll(Val.c_str());
+    else if (flagValue(argc, argv, I, "--member-stats", Val))
+      RF.MemberStats = Val;
+    else if (flagValue(argc, argv, I, "--diffusion", Val)) {
       Expected<sim::DiffusionMethod> D = sim::parseDiffusionMethod(Val);
       if (!D) {
         std::fprintf(stderr, "error: %s\n", D.status().message().c_str());
         return 1;
       }
-      DiffMethod = *D;
+      Spec.TissueMethod = uint8_t(*D);
     }
-    else if (valued(Arg, I, "--width", Val)) {
+    else if (flagValue(argc, argv, I, "--width", Val)) {
       WidthSet = true;
       if (Val == "auto")
         WidthAuto = true;
       else
         Width = unsigned(std::atoi(Val.c_str()));
     } else if (Arg == "--autotune")
-      Autotune = true;
+      Spec.Autotune = true;
     else if (Arg == "--tune-report")
       TuneReport = true;
     else if (Arg == "--layout" && I + 1 < argc) {
-      std::string L = argv[++I];
-      LayoutSet = true;
-      if (L == "aos")
-        Layout = codegen::StateLayout::AoS;
-      else if (L == "soa")
-        Layout = codegen::StateLayout::SoA;
-      else if (L == "aosoa")
-        Layout = codegen::StateLayout::AoSoA;
-      else {
-        std::fprintf(stderr, "error: unknown layout '%s'\n", L.c_str());
+      std::optional<codegen::StateLayout> L =
+          codegen::stateLayoutFromName(argv[++I]);
+      if (!L) {
+        std::fprintf(stderr, "error: unknown layout '%s'\n", argv[I]);
         return 1;
       }
+      Layout = *L;
+      LayoutSet = true;
     } else if (!startsWith(Arg, "--") && ModelArg.empty()) {
       ModelArg = Arg;
     } else {
@@ -485,25 +643,11 @@ int main(int argc, char **argv) {
   if (M == Mode::VectorIR && !LayoutSet)
     Layout = codegen::StateLayout::AoSoA;
 
-  // The ensemble flags only make sense together with --run, and a sweep
-  // cannot come from two places at once.
-  bool WantEnsemble = !SweepSpec.empty() || !EnsembleJsonPath.empty();
-  if (!SweepSpec.empty() && !EnsembleJsonPath.empty()) {
-    std::fprintf(stderr,
-                 "error: --sweep and --ensemble are mutually exclusive\n");
-    return 1;
-  }
-  if (WantEnsemble && M != Mode::Run) {
-    std::fprintf(stderr, "error: --sweep/--ensemble need --run\n");
-    return 1;
-  }
-  if (WantEnsemble && !TissueSpec.empty()) {
-    std::fprintf(stderr,
-                 "error: --sweep/--ensemble cannot combine with --tissue\n");
-    return 1;
-  }
-  if (MemberCells < 1) {
-    std::fprintf(stderr, "error: --member-cells must be >= 1\n");
+  // A sweep compiles only its lowered model: there is no artifact of the
+  // named model to emit. The run fields' ranges are RunSpec::validate's.
+  if (Spec.isEnsemble() && (M != Mode::Run || !RF.EmitArtifact.empty())) {
+    std::fprintf(stderr, "error: --sweep/--ensemble need --run and do not "
+                         "combine with --emit-artifact\n");
     return 1;
   }
 
@@ -564,8 +708,8 @@ int main(int argc, char **argv) {
 
   compiler::DriverOptions DriverOpts;
   DriverOpts.Config = Cfg;
-  DriverOpts.Tier = Tier;
-  DriverOpts.Autotune = Autotune;
+  DriverOpts.Tier = Spec.Tier;
+  DriverOpts.Autotune = Spec.Autotune;
   DriverOpts.UseCache = UseCache && !PrintIRAll && PrintIRAfter.empty();
   DriverOpts.SnapshotAll = PrintIRAll;
   DriverOpts.SnapshotStages = PrintIRAfter;
@@ -576,15 +720,15 @@ int main(int argc, char **argv) {
   // tier, not the tuned width/layout axes) and exit.
   if (TuneReport) {
     const exec::BackendRegistry &Reg = exec::BackendRegistry::global();
-    bool AllowNative = Tier != exec::EngineTier::VM;
+    bool AllowNative = Spec.Tier != exec::EngineTier::VM;
     std::vector<std::pair<std::string, std::string>> Targets;
     if (M == Mode::Suite || ModelArg.empty()) {
       for (const models::ModelEntry &E : models::modelRegistry())
         Targets.emplace_back(E.Name, E.Source);
     } else if (const models::ModelEntry *E = models::findModel(ModelArg)) {
       Targets.emplace_back(E->Name, E->Source);
-    } else if (std::optional<std::string> Read = readFile(ModelArg.c_str())) {
-      Targets.emplace_back(ModelArg, std::move(*Read));
+    } else if (std::string Read; compiler::readFileBytes(ModelArg, Read)) {
+      Targets.emplace_back(ModelArg, std::move(Read));
     } else {
       std::fprintf(stderr,
                    "error: '%s' is neither a file nor a suite model\n",
@@ -647,12 +791,12 @@ int main(int argc, char **argv) {
       } else
         std::printf("%-24s %-10s %8.2f ms\n", R.ModelName.c_str(),
                     compileKind(R), double(R.TotalNs) * 1e-6);
-      reportNativeTier(R, Tier);
+      reportNativeTier(R, Spec.Tier);
     }
     std::printf("compiled %zu/%zu models (%s): %zu cold, %zu warm\n", Ok,
                 Results.size(), exec::engineConfigName(Cfg).c_str(), Cold,
                 Warm);
-    if (Tier != exec::EngineTier::VM) {
+    if (Spec.Tier != exec::EngineTier::VM) {
       size_t Attached = 0;
       for (const compiler::CompileResult &R : Results)
         Attached += R.NativeAttached;
@@ -669,12 +813,12 @@ int main(int argc, char **argv) {
   std::string Name = ModelArg;
   std::string Source;
   if (endsWith(Name, ".easyml") || endsWith(Name, ".model")) {
-    std::optional<std::string> Read = readFile(ModelArg.c_str());
-    if (!Read) {
-      std::fprintf(stderr, "error: cannot read '%s'\n", ModelArg.c_str());
+    // An unreadable file is an error; an empty one reaches the frontend,
+    // which warns about the contentless model.
+    if (Status S = compiler::readFileBytes(ModelArg, Source); !S) {
+      std::fprintf(stderr, "error: %s\n", S.message().c_str());
       return 1;
     }
-    Source = std::move(*Read);
   } else if (const models::ModelEntry *E = models::findModel(Name)) {
     Source = E->Source;
   } else {
@@ -685,308 +829,43 @@ int main(int argc, char **argv) {
     return 1;
   }
 
-  // Driver-based paths: --load-artifact / --run / --emit-artifact /
+  std::optional<compiler::Artifact> Loaded;
+  if (!LoadArtifactPath.empty()) {
+    Expected<compiler::Artifact> A =
+        compiler::readArtifactFile(LoadArtifactPath);
+    if (!A) {
+      std::fprintf(stderr, "error: %s\n", A.status().message().c_str());
+      return 1;
+    }
+    Loaded = std::move(*A);
+  }
+
+  if (M == Mode::Run) {
+    Spec.Model = Name;
+    Spec.Source = Source;
+    Spec.Config = Cfg;
+    Env.Driver = DriverOpts;
+    Env.Artifact = Loaded ? &*Loaded : nullptr;
+    return runModel(Spec, Env, RF, StatsOut);
+  }
+
+  // Compile-only driver paths: --load-artifact / --emit-artifact /
   // --print-ir-after. Everything is recoverable: a broken pipeline, a
   // corrupt artifact or a failed stage prints one error and exits 1.
-  bool WantSnapshots = PrintIRAll || !PrintIRAfter.empty();
-  if (!LoadArtifactPath.empty() || M == Mode::Run ||
-      !EmitArtifactPath.empty() || WantSnapshots) {
-    compiler::CompileResult R;
-    if (!LoadArtifactPath.empty()) {
-      Expected<compiler::Artifact> A =
-          compiler::readArtifactFile(LoadArtifactPath);
-      if (!A) {
-        std::fprintf(stderr, "error: %s\n", A.status().message().c_str());
-        return 1;
-      }
-      R = Driver.loadArtifact(*A, Name, Source);
-    } else {
-      R = Driver.compileSource(Name, Source);
-    }
+  if (Loaded || !RF.EmitArtifact.empty() || PrintIRAll ||
+      !PrintIRAfter.empty()) {
+    compiler::CompileResult R = Loaded
+                                    ? Driver.loadArtifact(*Loaded, Name, Source)
+                                    : Driver.compileSource(Name, Source);
     printSnapshots(R);
     if (!R) {
       std::fprintf(stderr, "error: %s\n", R.Err.message().c_str());
       return 1;
     }
-    StatsOut.setPassStats(R.Model->kernel().PassStats);
-    std::fprintf(stderr, "compiled %s (%s): %s, %.2f ms\n", Name.c_str(),
-                 exec::engineConfigName(R.Model->config()).c_str(),
-                 compileKind(R), double(R.TotalNs) * 1e-6);
-    if (R.AutoSelected)
-      std::fprintf(stderr, "auto point: %s via %s (key %016llx)\n",
-                   R.AutoPointName.c_str(),
-                   std::string(compiler::tuneSourceName(R.AutoSource))
-                       .c_str(),
-                   (unsigned long long)R.TuneKey);
-    reportNativeTier(R, Tier);
-
-    if (!EmitArtifactPath.empty()) {
-      compiler::Artifact A =
-          compiler::CompilerDriver::makeArtifact(*R.Model, Name, R.SourceHash);
-      if (Status S = compiler::writeArtifactFile(A, EmitArtifactPath); !S) {
-        std::fprintf(stderr, "error: %s\n", S.message().c_str());
-        return 1;
-      }
-      std::string Bytes = compiler::serializeArtifact(A);
-      std::printf("wrote artifact %s (%zu bytes, source hash %016llx)\n",
-                  EmitArtifactPath.c_str(), Bytes.size(),
-                  (unsigned long long)A.SourceHash);
-    }
-
-    if (M == Mode::Run) {
-      const exec::CompiledModel &Model = *R.Model;
-      sim::SimOptions Opts;
-      Opts.NumCells = RunCells;
-      Opts.NumSteps = RunSteps;
-      Opts.Dt = RunDt;
-      Opts.StimPeriod = 100.0;
-      Opts.Guard.Enabled = RunGuard;
-      // --tissue=NX[xNY]: the grid's node count replaces --cells.
-      sim::TissueGrid Grid;
-      bool Tissue = !TissueSpec.empty();
-      if (Tissue) {
-        long long NX = 0, NY = 1;
-        char Sep = 0;
-        int N = std::sscanf(TissueSpec.c_str(), "%lld%c%lld", &NX, &Sep, &NY);
-        if (N == 1)
-          NY = 1;
-        else if (N != 3 || (Sep != 'x' && Sep != 'X')) {
-          std::fprintf(stderr,
-                       "error: bad --tissue spec '%s' (want NX or NXxNY)\n",
-                       TissueSpec.c_str());
-          return 1;
-        }
-        if (NX < 1 || NY < 1) {
-          std::fprintf(stderr, "error: --tissue dimensions must be >= 1\n");
-          return 1;
-        }
-        Grid = {NX, NY, TissueDx};
-      }
-      if (Resume && CkptDir.empty()) {
-        std::fprintf(stderr,
-                     "error: --resume needs --checkpoint-dir\n");
-        return 1;
-      }
-      if (!CkptDir.empty()) {
-        // Probe the directory up front: an unwritable --checkpoint-dir is
-        // one clear error before the run, not a failure at step 99,000.
-        sim::CheckpointStore Store(CkptDir, int(CkptRetain));
-        if (Status St = Store.prepare(); !St) {
-          std::fprintf(stderr, "error: %s\n", St.message().c_str());
-          return 1;
-        }
-        Opts.Checkpoint.Dir = CkptDir;
-        Opts.Checkpoint.EveryN = CkptEvery;
-        Opts.Checkpoint.Retain = int(CkptRetain);
-        Opts.Checkpoint.SourceHash = R.SourceHash;
-        sim::installShutdownHandlers();
-      }
-      // The --timeout deadline rides the same cooperative cancel token
-      // limpetd arms for its jobs: polled at step boundaries, never
-      // mid-step, so the final checkpoint is always resumable.
-      sim::CancelToken Deadline;
-      if (TimeoutSec > 0) {
-        Deadline.setDeadlineAfter(TimeoutSec);
-        Opts.Cancel = &Deadline;
-      }
-      // --cv=A,B: probe node indices for the post-run conduction-velocity
-      // readout (tissue only).
-      long long CvA = -1, CvB = -1;
-      if (!CvSpec.empty()) {
-        if (!Tissue) {
-          std::fprintf(stderr, "error: --cv needs --tissue\n");
-          return 1;
-        }
-        if (std::sscanf(CvSpec.c_str(), "%lld,%lld", &CvA, &CvB) != 2 ||
-            CvA < 0 || CvB < 0 || CvA == CvB ||
-            CvA >= Grid.numNodes() || CvB >= Grid.numNodes()) {
-          std::fprintf(stderr,
-                       "error: bad --cv spec '%s' (want two distinct node "
-                       "indices A,B inside the grid)\n",
-                       CvSpec.c_str());
-          return 1;
-        }
-      }
-      // The ensemble model owns the lowered CompiledModel; declared before
-      // S so it outlives the runner built on it.
-      std::optional<sim::EnsembleModel> EMod;
-      std::unique_ptr<sim::Simulator> S;
-      sim::TissueSimulator *TissueSim = nullptr;
-      sim::EnsembleRunner *EnsSim = nullptr;
-      if (Tissue) {
-        sim::TissueOptions TO;
-        TO.Grid = Grid;
-        TO.Sigma = TissueSigma;
-        TO.Method = DiffMethod;
-        if (!StimSpec.empty()) {
-          Expected<sim::StimulusProtocol> P =
-              sim::StimulusProtocol::parse(StimSpec, Grid);
-          if (!P) {
-            std::fprintf(stderr, "error: %s\n",
-                         P.status().message().c_str());
-            return 1;
-          }
-          TO.Stim = *P;
-        }
-        TO.Sim = Opts;
-        auto TS = std::make_unique<sim::TissueSimulator>(Model, TO);
-        if (Status St = TS->preflight(); !St) {
-          std::fprintf(stderr, "error: %s\n", St.message().c_str());
-          return 1;
-        }
-        std::printf("tissue %lldx%lld: dx=%g cm, sigma=%g cm^2/ms, "
-                    "diffusion=%s, stim=%s\n",
-                    (long long)TS->grid().NX, (long long)TS->grid().NY,
-                    TS->grid().Dx, TS->tissueOptions().Sigma,
-                    std::string(sim::diffusionMethodName(
-                                    TS->tissueOptions().Method))
-                        .c_str(),
-                    TS->stimulus().str().c_str());
-        if (CvA >= 0)
-          TS->enableActivationMap(-20.0);
-        TissueSim = TS.get();
-        S = std::move(TS);
-      } else if (WantEnsemble) {
-        Expected<sim::EnsembleSpec> Spec =
-            !SweepSpec.empty()
-                ? sim::EnsembleSpec::fromSweep(SweepSpec, MemberCells)
-                : sim::EnsembleSpec::fromJsonFile(EnsembleJsonPath,
-                                                  MemberCells);
-        if (!Spec) {
-          std::fprintf(stderr, "error: %s\n",
-                       Spec.status().message().c_str());
-          return 1;
-        }
-        // The sweep lowers its swept parameters to per-cell externals and
-        // compiles the lowered model ONCE under the configuration the
-        // driver already resolved (so --width=auto applies to the whole
-        // population). That needs the raw ModelInfo, not the compiled
-        // model above.
-        DiagnosticEngine EnsDiags;
-        auto EnsInfo = easyml::compileModelInfo(Name, Source, EnsDiags);
-        if (!EnsInfo) {
-          std::fprintf(stderr, "%s", EnsDiags.str().c_str());
-          return 1;
-        }
-        Expected<sim::EnsembleModel> Built = sim::buildEnsembleModel(
-            *EnsInfo, std::move(*Spec), Model.config());
-        if (!Built) {
-          std::fprintf(stderr, "error: %s\n",
-                       Built.status().message().c_str());
-          return 1;
-        }
-        EMod.emplace(std::move(*Built));
-        if (Tier != exec::EngineTier::VM) {
-          Status St = sim::attachNativeKernel(*EMod, R.CacheKey, Name);
-          if (!St && Tier == exec::EngineTier::Native)
-            std::fprintf(stderr,
-                         "warning: native tier unavailable for the "
-                         "ensemble kernel, running on the VM: %s\n",
-                         St.message().c_str());
-        }
-        auto ER = std::make_unique<sim::EnsembleRunner>(*EMod, Opts);
-        std::string SweptNames;
-        for (const std::string &P : EMod->Swept) {
-          if (!SweptNames.empty())
-            SweptNames += ",";
-          SweptNames += P;
-        }
-        std::printf("ensemble: %lld members x %lld cells (swept: %s)\n",
-                    (long long)ER->numMembers(),
-                    (long long)ER->cellsPerMember(), SweptNames.c_str());
-        EnsSim = ER.get();
-        S = std::move(ER);
-      } else {
-        S = std::make_unique<sim::Simulator>(Model, Opts);
-      }
-      if (Resume) {
-        sim::CheckpointStore Store(CkptDir, int(CkptRetain));
-        std::string CkptPath;
-        int Skipped = 0;
-        Expected<sim::CheckpointData> C =
-            Store.loadNewestValid(&CkptPath, &Skipped);
-        if (!C) {
-          std::fprintf(stderr, "error: %s\n", C.status().message().c_str());
-          return 1;
-        }
-        if (Status St = S->resumeFrom(*C); !St) {
-          std::fprintf(stderr, "error: %s\n", St.message().c_str());
-          return 1;
-        }
-        std::string Note =
-            Skipped ? " (" + std::to_string(Skipped) +
-                          " corrupt/truncated checkpoint(s) skipped)"
-                    : "";
-        std::printf("resumed from %s at step %lld%s\n", CkptPath.c_str(),
-                    (long long)C->StepCount, Note.c_str());
-      }
-      S->run();
-      // Print the simulator's (sanitized) options, not the raw flags.
-      std::printf("simulated %s (%s): %lld cells x %lld steps, t=%.2f ms\n",
-                  Name.c_str(),
-                  exec::engineConfigName(Model.config()).c_str(),
-                  (long long)S->options().NumCells,
-                  (long long)S->options().NumSteps, S->time());
-      if (Tier != exec::EngineTier::VM) {
-        const exec::CompiledModel &RunModel = EnsSim ? *EMod->Model : Model;
-        std::printf("engine tier: %s\n",
-                    RunModel.usingNativeTier() ? "native" : "vm (fallback)");
-      }
-      if (S->interrupted())
-        std::printf("interrupted at step %lld (%s)%s%s\n",
-                    (long long)S->stepsDone(),
-                    std::string(sim::stopReasonName(S->stopReason())).c_str(),
-                    CkptDir.empty() ? "" : ": final checkpoint written to ",
-                    CkptDir.c_str());
-      if (S->hasVoltageCoupling())
-        std::printf("final Vm[0] = %.6f mV\n", S->vm(0));
-      if (TissueSim && CvA >= 0) {
-        double CV = TissueSim->conductionVelocity(CvA, CvB);
-        if (std::isfinite(CV))
-          std::printf("conduction velocity = %.6g cm/ms (nodes %lld..%lld)\n",
-                      CV, CvA, CvB);
-        else
-          std::printf("conduction velocity = n/a (wavefront did not reach "
-                      "nodes %lld..%lld)\n",
-                      CvA, CvB);
-      }
-      if (EnsSim) {
-        // Partial-result delivery: quarantined members are reported, not
-        // fatal — the sweep still exits 0 with every member accounted for.
-        std::printf("ensemble members: %lld ok, %lld quarantined\n",
-                    (long long)EnsSim->membersOk(),
-                    (long long)EnsSim->membersQuarantined());
-        if (!MemberStatsPath.empty()) {
-          std::ofstream Out(MemberStatsPath,
-                            std::ios::binary | std::ios::trunc);
-          std::string Ndjson = EnsSim->memberStatsNdjson();
-          Out << Ndjson;
-          Out.flush();
-          if (!Out) {
-            std::fprintf(stderr, "error: cannot write member stats to %s\n",
-                         MemberStatsPath.c_str());
-            return 1;
-          }
-          std::printf("wrote member stats: %s (%lld members)\n",
-                      MemberStatsPath.c_str(),
-                      (long long)EnsSim->numMembers());
-        }
-      }
-      std::printf("state checksum = %.9g\n", S->stateChecksum());
-      std::printf("guard rails: %s\n", RunGuard ? "on" : "off");
-      std::printf("%s", S->report().str().c_str());
-      bool Healthy = S->scanIsHealthy();
-      std::printf("population health: %s\n", Healthy ? "ok" : "FAULTY");
-      if (!Healthy)
-        return 2;
-      // Distinct recoverable exit for a deadline stop: scripts can tell
-      // "ran out of budget, resume later" (3) from "faulty" (2).
-      if (S->stopReason() == sim::StopReason::DeadlineExpired)
-        return 3;
-      return 0;
-    }
-    if (M == Mode::Info && (WantSnapshots || !EmitArtifactPath.empty() ||
-                            !LoadArtifactPath.empty()))
+    reportCompile(R, *R.Model, Spec.Tier, StatsOut);
+    if (!RF.EmitArtifact.empty() && !emitArtifact(R, RF.EmitArtifact))
+      return 1;
+    if (M == Mode::Info)
       return 0; // the compile itself was the requested action
   }
 

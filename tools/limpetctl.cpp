@@ -17,6 +17,7 @@
 
 #include "daemon/Json.h"
 #include "daemon/Protocol.h"
+#include "support/StringUtils.h"
 
 #include <cerrno>
 #include <chrono>
@@ -248,49 +249,35 @@ int main(int argc, char **argv) {
   int ConnectRetries = 0;
   double ConnectTimeoutSec = 0;
 
-  auto valued = [&](const std::string &Arg, int &I, const char *Flag,
-                    std::string &Out) {
-    size_t N = std::strlen(Flag);
-    if (Arg.compare(0, N, Flag) == 0 && Arg.size() > N && Arg[N] == '=') {
-      Out = Arg.substr(N + 1);
-      return true;
-    }
-    if (Arg == Flag && I + 1 < argc) {
-      Out = argv[++I];
-      return true;
-    }
-    return false;
-  };
-
   for (int I = 1; I < argc; ++I) {
     std::string Arg = argv[I];
     std::string Val;
     if (Arg == "--help" || Arg == "-h") {
       printUsage();
       return 0;
-    } else if (valued(Arg, I, "--socket", Val))
+    } else if (flagValue(argc, argv, I, "--socket", Val))
       Socket = Val;
-    else if (valued(Arg, I, "--model", Val))
+    else if (flagValue(argc, argv, I, "--model", Val))
       Req.set("model", JsonValue::string(Val));
-    else if (valued(Arg, I, "--tenant", Val))
+    else if (flagValue(argc, argv, I, "--tenant", Val))
       Req.set("tenant", JsonValue::string(Val));
-    else if (valued(Arg, I, "--cells", Val))
+    else if (flagValue(argc, argv, I, "--cells", Val))
       Req.set("cells", JsonValue::number(double(std::atoll(Val.c_str()))));
-    else if (valued(Arg, I, "--steps", Val))
+    else if (flagValue(argc, argv, I, "--steps", Val))
       Req.set("steps", JsonValue::number(double(std::atoll(Val.c_str()))));
-    else if (valued(Arg, I, "--dt", Val))
+    else if (flagValue(argc, argv, I, "--dt", Val))
       Req.set("dt", JsonValue::number(std::atof(Val.c_str())));
-    else if (valued(Arg, I, "--priority", Val))
+    else if (flagValue(argc, argv, I, "--priority", Val))
       Req.set("priority", JsonValue::number(double(std::atoi(Val.c_str()))));
-    else if (valued(Arg, I, "--timeout-sec", Val))
+    else if (flagValue(argc, argv, I, "--timeout-sec", Val))
       Req.set("timeout_sec", JsonValue::number(std::atof(Val.c_str())));
-    else if (valued(Arg, I, "--checkpoint-every", Val))
+    else if (flagValue(argc, argv, I, "--checkpoint-every", Val))
       Req.set("checkpoint_every",
               JsonValue::number(double(std::atoll(Val.c_str()))));
-    else if (valued(Arg, I, "--progress-every", Val))
+    else if (flagValue(argc, argv, I, "--progress-every", Val))
       Req.set("progress_every",
               JsonValue::number(double(std::atoll(Val.c_str()))));
-    else if (valued(Arg, I, "--tissue", Val)) {
+    else if (flagValue(argc, argv, I, "--tissue", Val)) {
       long long NX = 0, NY = 1;
       char Sep = 0;
       int N = std::sscanf(Val.c_str(), "%lld%c%lld", &NX, &Sep, &NY);
@@ -304,36 +291,36 @@ int main(int argc, char **argv) {
       }
       Req.set("tissue_nx", JsonValue::number(double(NX)));
       Req.set("tissue_ny", JsonValue::number(double(NY)));
-    } else if (valued(Arg, I, "--dx", Val))
+    } else if (flagValue(argc, argv, I, "--dx", Val))
       Req.set("tissue_dx", JsonValue::number(std::atof(Val.c_str())));
-    else if (valued(Arg, I, "--sigma", Val))
+    else if (flagValue(argc, argv, I, "--sigma", Val))
       Req.set("tissue_sigma", JsonValue::number(std::atof(Val.c_str())));
-    else if (valued(Arg, I, "--diffusion", Val))
+    else if (flagValue(argc, argv, I, "--diffusion", Val))
       Req.set("tissue_method", JsonValue::string(Val));
-    else if (valued(Arg, I, "--stim", Val))
+    else if (flagValue(argc, argv, I, "--stim", Val))
       Req.set("tissue_stim", JsonValue::string(Val));
-    else if (valued(Arg, I, "--sweep", Val))
+    else if (flagValue(argc, argv, I, "--sweep", Val))
       Req.set("ensemble_sweep", JsonValue::string(Val));
-    else if (valued(Arg, I, "--member-cells", Val))
+    else if (flagValue(argc, argv, I, "--member-cells", Val))
       Req.set("ensemble_cells_per",
               JsonValue::number(double(std::atoll(Val.c_str()))));
-    else if (valued(Arg, I, "--retry", Val))
+    else if (flagValue(argc, argv, I, "--retry", Val))
       ConnectRetries = std::atoi(Val.c_str());
-    else if (valued(Arg, I, "--connect-timeout", Val))
+    else if (flagValue(argc, argv, I, "--connect-timeout", Val))
       ConnectTimeoutSec = std::atof(Val.c_str());
-    else if (valued(Arg, I, "--id", Val)) {
+    else if (flagValue(argc, argv, I, "--id", Val)) {
       WaitId = uint64_t(std::atoll(Val.c_str()));
       Req.set("id", JsonValue::number(double(WaitId)));
-    } else if (valued(Arg, I, "--preset", Val))
+    } else if (flagValue(argc, argv, I, "--preset", Val))
       Cfg.set("preset", JsonValue::string(Val));
-    else if (valued(Arg, I, "--width", Val)) {
+    else if (flagValue(argc, argv, I, "--width", Val)) {
       if (Val == "auto")
         Cfg.set("width", JsonValue::string("auto"));
       else
         Cfg.set("width", JsonValue::number(double(std::atoi(Val.c_str()))));
-    } else if (valued(Arg, I, "--layout", Val))
+    } else if (flagValue(argc, argv, I, "--layout", Val))
       Cfg.set("layout", JsonValue::string(Val));
-    else if (valued(Arg, I, "--engine", Val))
+    else if (flagValue(argc, argv, I, "--engine", Val))
       Req.set("engine", JsonValue::string(Val));
     else if (Arg == "--autotune")
       Req.set("autotune", JsonValue::boolean(true));
@@ -354,6 +341,10 @@ int main(int argc, char **argv) {
     printUsage();
     return 1;
   }
+  // As in limpetc, --width N > 1 without --preset selects limpetMLIR.
+  if (const JsonValue *W = Cfg.find("width");
+      W && W->isNumber() && W->asNumber() > 1 && !Cfg.find("preset"))
+    Cfg.set("preset", JsonValue::string("limpetmlir"));
   if (!Cfg.members().empty())
     Req.set("config", std::move(Cfg));
 

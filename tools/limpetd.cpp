@@ -15,6 +15,7 @@
 
 #include "daemon/Server.h"
 #include "support/Signals.h"
+#include "support/StringUtils.h"
 
 #include <cstdio>
 #include <cstdlib>
@@ -44,41 +45,27 @@ static void printUsage() {
 int main(int argc, char **argv) {
   daemon::Server::Options O;
 
-  auto valued = [&](const std::string &Arg, int &I, const char *Flag,
-                    std::string &Out) {
-    size_t N = std::strlen(Flag);
-    if (Arg.compare(0, N, Flag) == 0 && Arg.size() > N && Arg[N] == '=') {
-      Out = Arg.substr(N + 1);
-      return true;
-    }
-    if (Arg == Flag && I + 1 < argc) {
-      Out = argv[++I];
-      return true;
-    }
-    return false;
-  };
-
   for (int I = 1; I < argc; ++I) {
     std::string Arg = argv[I];
     std::string Val;
     if (Arg == "--help" || Arg == "-h") {
       printUsage();
       return 0;
-    } else if (valued(Arg, I, "--socket", Val))
+    } else if (flagValue(argc, argv, I, "--socket", Val))
       O.SocketPath = Val;
-    else if (valued(Arg, I, "--state-dir", Val))
+    else if (flagValue(argc, argv, I, "--state-dir", Val))
       O.StateDir = Val;
-    else if (valued(Arg, I, "--runners", Val))
+    else if (flagValue(argc, argv, I, "--runners", Val))
       O.Runners = unsigned(std::atoi(Val.c_str()));
-    else if (valued(Arg, I, "--sim-threads", Val))
+    else if (flagValue(argc, argv, I, "--sim-threads", Val))
       O.SimThreads = unsigned(std::atoi(Val.c_str()));
-    else if (valued(Arg, I, "--max-queue", Val))
+    else if (flagValue(argc, argv, I, "--max-queue", Val))
       O.Limits.MaxQueued = size_t(std::atoll(Val.c_str()));
-    else if (valued(Arg, I, "--tenant-running", Val))
+    else if (flagValue(argc, argv, I, "--tenant-running", Val))
       O.Limits.PerTenantRunning = std::atoi(Val.c_str());
-    else if (valued(Arg, I, "--tenant-inflight", Val))
+    else if (flagValue(argc, argv, I, "--tenant-inflight", Val))
       O.Limits.PerTenantInFlight = std::atoi(Val.c_str());
-    else if (valued(Arg, I, "--checkpoint-every", Val))
+    else if (flagValue(argc, argv, I, "--checkpoint-every", Val))
       O.DefaultCheckpointEvery = std::atoll(Val.c_str());
     else {
       std::fprintf(stderr, "error: unknown flag '%s'\n", Arg.c_str());
