@@ -9,8 +9,9 @@
 #  3. One run description, two entry points: limpetc --run --guard and
 #     the same flags submitted through limpetctl end with the same
 #     checksum to all 17 digits (plain, vector, tissue and sweep runs,
-#     the sweep with the same quarantine count), and limpetc rejects a
-#     spec admission rejects (exit 1).
+#     the sweep with the same quarantine count), limpetc rejects a spec
+#     admission rejects (exit 1), and limpetctl rejects a zero tissue
+#     dimension before it submits (exit 1).
 #  4. Fault isolation: a job with an unknown model fails alone (exit 4)
 #     and the daemon keeps serving.
 #  5. Backpressure: a structurally invalid spec is rejected (exit 3)
@@ -128,6 +129,16 @@ for bad in "--cells 0" "--steps -5" "--dt 0" "--tissue 8 --dx 0"; do
   [ "$RC" = 1 ] || fail "limpetc --run $bad exited $RC, want 1"
 done
 echo "daemon_smoke: limpetc rejects invalid run fields like admission"
+# limpetctl parses --tissue with limpetc's parser before it connects: a
+# zero dimension is a usage error, not a plain population on a live daemon.
+set +e
+ctl submit --model $MODEL --tissue 0x4 >"$WORK/bad-grid.out" 2>&1
+RC=$?
+set -e
+[ "$RC" = 1 ] || fail "limpetctl submit --tissue 0x4 exited $RC, want 1"
+grep -q 'bad tissue grid' "$WORK/bad-grid.out" \
+  || fail "limpetctl --tissue 0x4 did not name the bad grid"
+echo "daemon_smoke: limpetctl rejects a zero tissue dimension"
 
 # --- 4. fault isolation ------------------------------------------------------
 set +e

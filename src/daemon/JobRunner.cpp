@@ -122,14 +122,17 @@ JobState JobRunner::execute(Job &J) {
         .add();
 
   // Replay path: continue from the newest valid checkpoint. A job that
-  // has none (killed before its first checkpoint) starts over — same
-  // spec, same result.
+  // has none (killed before its first checkpoint, or only checkpoints of
+  // an older format version, which never load) starts over — same spec,
+  // same result. The files past the step it continues from did not load;
+  // they go, so that rotation keeps the checkpoints this run writes.
   if (J.Replayed) {
-    if (Expected<sim::CheckpointData> C =
-            sim::CheckpointStore(Env.CheckpointDir).loadNewestValid()) {
+    sim::CheckpointStore Store(Env.CheckpointDir);
+    if (Expected<sim::CheckpointData> C = Store.loadNewestValid()) {
       if (Status St = S.resumeFrom(*C); !St)
         telemetry::counter("daemon.jobs.resume_failed").add();
     }
+    Store.removeAfter(S.stepsDone());
   }
 
   S.run();
@@ -138,7 +141,7 @@ JobState JobRunner::execute(Job &J) {
   // The interruption check MUST come before any terminal accounting —
   // ensemble quarantines included. A member that hit its dt-floor while
   // the daemon was shutting down is a *non-terminal* outcome: the final
-  // checkpoint's ensemble section already pins its quarantine, and the
+  // checkpoint's member section already records its quarantine, and the
   // journal's Accepted-without-terminal shape replays the job, which
   // resumes with that member still quarantined. Writing a terminal
   // record here instead would turn a routine restart into a lost sweep.

@@ -94,22 +94,6 @@ std::string sim::serializeCheckpoint(const CheckpointData &C) {
   P.i64(R.Substeps);
   P.i64(R.CellsDegraded);
   P.i64(R.CellsFrozen);
-  P.f64(R.ScanSeconds);
-  P.f64(R.RecoverySeconds);
-  P.f64(R.RunSeconds);
-
-  P.u64(uint64_t(C.Modes.size()));
-  for (uint8_t M : C.Modes)
-    P.u8(M);
-
-  P.u32(uint32_t(C.Frozen.size()));
-  for (const CheckpointData::FrozenCell &F : C.Frozen) {
-    P.i64(F.Cell);
-    for (double D : F.Sv)
-      P.f64(D);
-    for (double D : F.Ext)
-      P.f64(D);
-  }
 
   // Tissue section (v2).
   P.i64(C.TissueNX);
@@ -119,16 +103,17 @@ std::string sim::serializeCheckpoint(const CheckpointData &C) {
   P.u8(C.TissueMethod);
   P.str(C.TissueStim);
 
-  // Ensemble section (v3).
-  P.i64(C.EnsembleMembers);
-  P.i64(C.EnsembleCellsPerMember);
-  P.u64(C.EnsembleSpecHash);
-  for (const CheckpointData::EnsembleMember &M : C.EnsembleStatus) {
-    P.u8(M.Status);
-    P.u8(M.Reason);
-    P.i64(M.DtRetries);
-    P.i64(M.FaultSteps);
-    P.i64(M.QuarantineStep);
+  // Member section (v4).
+  P.i64(C.CellsPerMember);
+  P.u64(C.SpecHash);
+  P.u64(uint64_t(C.Members.size()));
+  for (const auto &[M, Rec] : C.Members) {
+    P.i64(M);
+    P.u8(uint8_t(Rec.Status));
+    P.u8(uint8_t(Rec.Reason));
+    P.i64(Rec.DtRetries);
+    P.i64(Rec.FaultSteps);
+    P.i64(Rec.QuarantineStep);
   }
 
   ByteWriter W;
@@ -210,35 +195,6 @@ Expected<CheckpointData> sim::deserializeCheckpoint(std::string_view Bytes) {
   Rep.Substeps = R.i64();
   Rep.CellsDegraded = R.i64();
   Rep.CellsFrozen = R.i64();
-  Rep.ScanSeconds = R.f64();
-  Rep.RecoverySeconds = R.f64();
-  Rep.RunSeconds = R.f64();
-
-  uint64_t NumModes = R.u64();
-  if (R.failed() || NumModes > R.remaining())
-    return Err("truncated mode section");
-  if (NumModes != 0 && int64_t(NumModes) != C.NumCells)
-    return Err("mode array does not match the declared shape");
-  C.Modes.resize(size_t(NumModes));
-  for (uint8_t &M : C.Modes)
-    M = R.u8();
-
-  uint32_t NumFrozen = R.u32();
-  size_t FrozenBytes = 8 + 8 * (size_t(C.NumSv) + C.NumExts);
-  if (R.failed() || size_t(NumFrozen) * FrozenBytes > R.remaining())
-    return Err("truncated frozen-cell section");
-  C.Frozen.resize(NumFrozen);
-  for (CheckpointData::FrozenCell &F : C.Frozen) {
-    F.Cell = R.i64();
-    if (F.Cell < 0 || F.Cell >= C.NumCells)
-      return Err("frozen cell index out of range");
-    F.Sv.resize(C.NumSv);
-    for (double &D : F.Sv)
-      D = R.f64();
-    F.Ext.resize(C.NumExts);
-    for (double &D : F.Ext)
-      D = R.f64();
-  }
 
   C.TissueNX = R.i64();
   C.TissueNY = R.i64();
@@ -250,24 +206,32 @@ Expected<CheckpointData> sim::deserializeCheckpoint(std::string_view Bytes) {
       (C.TissueNX > 0 && C.TissueNX * C.TissueNY != C.NumCells))
     return Err("tissue grid does not match the declared population");
 
-  C.EnsembleMembers = R.i64();
-  C.EnsembleCellsPerMember = R.i64();
-  C.EnsembleSpecHash = R.u64();
-  if (R.failed() || C.EnsembleMembers < 0 ||
-      (C.EnsembleMembers > 0 &&
-       (C.EnsembleCellsPerMember < 1 ||
-        C.EnsembleMembers * C.EnsembleCellsPerMember != C.NumCells)))
-    return Err("ensemble shape does not match the declared population");
-  constexpr size_t kMemberBytes = 2 + 3 * 8;
-  if (size_t(C.EnsembleMembers) * kMemberBytes > R.remaining())
-    return Err("truncated ensemble member section");
-  C.EnsembleStatus.resize(size_t(C.EnsembleMembers));
-  for (CheckpointData::EnsembleMember &M : C.EnsembleStatus) {
-    M.Status = R.u8();
-    M.Reason = R.u8();
-    M.DtRetries = R.i64();
-    M.FaultSteps = R.i64();
-    M.QuarantineStep = R.i64();
+  C.CellsPerMember = R.i64();
+  C.SpecHash = R.u64();
+  uint64_t NumRecords = R.u64();
+  if (R.failed() || C.CellsPerMember < 1 ||
+      C.NumCells % C.CellsPerMember != 0)
+    return Err("member shape does not match the declared population");
+  constexpr size_t kRecordBytes = 2 + 4 * 8;
+  if (NumRecords > R.remaining() / kRecordBytes)
+    return Err("truncated member section");
+  int64_t NumMembers = C.NumCells / C.CellsPerMember;
+  for (uint64_t I = 0; I != NumRecords; ++I) {
+    int64_t M = R.i64();
+    uint8_t Status = R.u8(), Reason = R.u8();
+    // Ascending, in range and each a real ladder position: a record
+    // never merges into another or names a status the ladder lacks.
+    if (M < 0 || M >= NumMembers ||
+        (!C.Members.empty() && M <= C.Members.rbegin()->first) ||
+        Status > uint8_t(MemberStatus::Quarantined) ||
+        Reason > uint8_t(QuarantineReason::ScalarFault))
+      return Err("malformed member record");
+    MemberRecord &Rec = C.Members[M];
+    Rec.Status = MemberStatus(Status);
+    Rec.Reason = QuarantineReason(Reason);
+    Rec.DtRetries = R.i64();
+    Rec.FaultSteps = R.i64();
+    Rec.QuarantineStep = R.i64();
   }
 
   if (R.failed())
@@ -355,6 +319,13 @@ void CheckpointStore::prune() const {
   std::vector<std::string> Paths = list();
   for (size_t I = 0; I + size_t(Retain) < Paths.size(); ++I)
     std::remove(Paths[I].c_str());
+}
+
+void CheckpointStore::removeAfter(int64_t Step) const {
+  std::string Last = fs::path(pathForStep(Step)).filename().string();
+  for (const std::string &Path : list())
+    if (fs::path(Path).filename().string() > Last)
+      std::remove(Path.c_str());
 }
 
 Status CheckpointStore::write(const CheckpointData &C) const {

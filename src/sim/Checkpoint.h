@@ -4,9 +4,11 @@
 // FNV-1a-checksummed snapshots of the *full* simulation state — the
 // StateBuffer contents (any layout x width, AoSoA padding included so a
 // restore is bit-exact), step index, time, dt, parameter values, guard-rail
-// RunReport accumulators, per-cell degradation modes and frozen-cell
-// snapshots, the Vm trace, and the engine configuration plus a model
-// source hash so a resumed run refuses a mismatched model.
+// RunReport counters, the member section (member shape, sweep spec hash
+// and the ladder records of members that left Ok), the Vm trace, and the
+// engine configuration plus a model source hash so a resumed run refuses
+// a mismatched model. No wall-clock time is written, so two runs of one
+// spec write byte-identical checkpoints.
 //
 // Files are written atomically (unique temp name + rename, reusing the
 // compiler::Artifact serialization helpers), rotated to a retained count,
@@ -30,6 +32,7 @@
 #include "support/Status.h"
 
 #include <cstdint>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -41,7 +44,10 @@ namespace sim {
 /// v2: tissue section (grid geometry, diffusion, stimulus spec).
 /// v3: ensemble section (per-member status/reason for fault-isolated
 ///     parameter sweeps).
-inline constexpr uint32_t kCheckpointFormatVersion = 3;
+/// v4: one member section for every run replaces the per-cell modes,
+///     the frozen-cell snapshots and the ensemble section; the RunReport's
+///     wall-clock seconds are no longer written.
+inline constexpr uint32_t kCheckpointFormatVersion = 4;
 
 /// Everything needed to continue a simulation bit-identically from the
 /// step it was captured at.
@@ -79,17 +85,8 @@ struct CheckpointData {
   /// Recorded Vm trace up to the checkpoint (empty when tracing is off).
   std::vector<double> Trace;
 
-  // Guard-rail state: the accumulated run report, the per-cell position on
-  // the degradation ladder (empty = every cell Normal), and the pinned
-  // values of frozen cells.
+  /// The guard-rail counters (its wall-clock seconds are not written).
   RunReport Report;
-  std::vector<uint8_t> Modes;
-  struct FrozenCell {
-    int64_t Cell = 0;
-    std::vector<double> Sv;
-    std::vector<double> Ext;
-  };
-  std::vector<FrozenCell> Frozen;
 
   // Tissue section (v2): grid geometry, diffusion operator and the
   // canonical stimulus spec of a tissue run. TissueNX == 0 marks a plain
@@ -104,23 +101,16 @@ struct CheckpointData {
   uint8_t TissueMethod = 0; ///< sim::DiffusionMethod
   std::string TissueStim;   ///< StimulusProtocol::str(); "" = none
 
-  // Ensemble section (v3): per-member status of a fault-isolated
-  // parameter sweep. EnsembleMembers == 0 marks a non-ensemble
-  // checkpoint; an ensemble resume cross-checks member count, slice
-  // width and the spec hash so partial results cannot silently continue
-  // under a different sweep. Member state/parameter values travel in
-  // State/Exts like any other cells.
-  int64_t EnsembleMembers = 0;
-  int64_t EnsembleCellsPerMember = 0;
-  uint64_t EnsembleSpecHash = 0;
-  struct EnsembleMember {
-    uint8_t Status = 0; ///< sim::MemberStatus
-    uint8_t Reason = 0; ///< sim::QuarantineReason
-    int64_t DtRetries = 0;
-    int64_t FaultSteps = 0;
-    int64_t QuarantineStep = -1;
-  };
-  std::vector<EnsembleMember> EnsembleStatus;
+  // Member section (v4): member M is cells [M*CellsPerMember,
+  // (M+1)*CellsPerMember). A plain run has one-cell members and spec hash
+  // 0, a tissue sheet one member of every node, a sweep its member slices
+  // and the hash of its spec. A resume requires both to match, so partial
+  // results cannot continue under another shape or sweep. Only members
+  // that left Ok have a record; a quarantined member's pinned values are
+  // its cells' values in State/Exts.
+  int64_t CellsPerMember = 1;
+  uint64_t SpecHash = 0;
+  std::map<int64_t, MemberRecord> Members;
 };
 
 /// Serializes \p C into a self-contained byte string (magic, version,
@@ -165,6 +155,12 @@ public:
 
   /// Deletes the oldest checkpoints until at most retain() remain.
   void prune() const;
+
+  /// Deletes the checkpoints of steps after \p Step. A run that continues
+  /// from \p Step calls it when the files past it do not load: prune()
+  /// keeps the highest steps, so it would delete each new checkpoint the
+  /// run writes below them.
+  void removeAfter(int64_t Step) const;
 
   /// Loads the newest checkpoint that parses and checksums, skipping (and
   /// counting) corrupt or truncated ones. \p PathOut / \p SkippedOut are

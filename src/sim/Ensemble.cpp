@@ -5,26 +5,17 @@
 #include "compiler/Artifact.h"
 #include "daemon/Json.h"
 #include "support/Telemetry.h"
-#include "support/Trace.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 
 using namespace limpet;
 using namespace limpet::sim;
 using namespace limpet::exec;
 
 namespace {
-using Clock = std::chrono::steady_clock;
-
-double secondsSince(Clock::time_point T0) {
-  return std::chrono::duration<double>(Clock::now() - T0).count();
-}
-
 /// Round-trippable double rendering (the canonical spec text is hashed,
 /// so it must be byte-stable for a given value).
 std::string fmtDouble(double V) {
@@ -33,32 +24,6 @@ std::string fmtDouble(double V) {
   return Buf;
 }
 } // namespace
-
-std::string_view sim::memberStatusName(MemberStatus S) {
-  switch (S) {
-  case MemberStatus::Ok:
-    return "ok";
-  case MemberStatus::Recovered:
-    return "recovered";
-  case MemberStatus::ScalarExact:
-    return "scalar-exact";
-  case MemberStatus::Quarantined:
-    return "quarantined";
-  }
-  return "unknown";
-}
-
-std::string_view sim::quarantineReasonName(QuarantineReason R) {
-  switch (R) {
-  case QuarantineReason::None:
-    return "none";
-  case QuarantineReason::DtFloor:
-    return "dt-floor";
-  case QuarantineReason::ScalarFault:
-    return "scalar-fault";
-  }
-  return "unknown";
-}
 
 //===----------------------------------------------------------------------===//
 // EnsembleSpec
@@ -342,11 +307,11 @@ SimOptions ensembleOpts(const EnsembleModel &EM, SimOptions Opts) {
 
 EnsembleRunner::EnsembleRunner(const EnsembleModel &EMIn,
                                const SimOptions &OptsIn)
-    : Simulator(EMIn.model(), ensembleOpts(EMIn, OptsIn)), EM(EMIn),
-      CellsPer(EMIn.Spec.CellsPerMember), SpecHash(EMIn.Spec.hash()),
-      Members(EMIn.Spec.Members.size()) {
+    : Simulator(EMIn.model(), ensembleOpts(EMIn, OptsIn)), EM(EMIn) {
+  CellsPer = EM.Spec.CellsPerMember;
+  SpecHash = EM.Spec.hash();
   applyOverrides();
-  telemetry::counter("sim.ensemble.members").add(uint64_t(Members.size()));
+  telemetry::counter("sim.ensemble.members").add(uint64_t(numMembers()));
 }
 
 void EnsembleRunner::applyOverrides() {
@@ -363,12 +328,6 @@ void EnsembleRunner::applyOverrides() {
         Buf.writeExt(Ext, C, O.Value);
     }
   }
-}
-
-MemberStatus EnsembleRunner::memberStatus(int64_t M) const {
-  if (M < 0 || M >= numMembers())
-    return MemberStatus::Ok;
-  return Members[size_t(M)].Status;
 }
 
 double EnsembleRunner::memberChecksum(int64_t M) const {
@@ -388,17 +347,13 @@ double EnsembleRunner::memberChecksum(int64_t M) const {
 
 std::vector<MemberReport> EnsembleRunner::memberReports() const {
   std::vector<MemberReport> Out;
-  Out.reserve(Members.size());
-  for (size_t M = 0; M != Members.size(); ++M) {
-    const Member &S = Members[M];
+  Out.reserve(size_t(numMembers()));
+  for (int64_t M = 0; M != numMembers(); ++M) {
     MemberReport R;
-    R.Member = int64_t(M);
-    R.Status = S.Status;
-    R.Reason = S.Reason;
-    R.DtRetries = S.DtRetries;
-    R.FaultSteps = S.FaultSteps;
-    R.QuarantineStep = S.QuarantineStep;
-    R.Checksum = memberChecksum(int64_t(M));
+    if (auto It = Members.find(M); It != Members.end())
+      static_cast<MemberRecord &>(R) = It->second;
+    R.Member = M;
+    R.Checksum = memberChecksum(M);
     Out.push_back(R);
   }
   return Out;
@@ -411,316 +366,4 @@ std::string EnsembleRunner::memberStatsNdjson() const {
     Out += "\n";
   }
   return Out;
-}
-
-bool EnsembleRunner::memberSliceHealthy(int64_t M) const {
-  const HealthPolicy &P = Opts.Guard.Policy;
-  unsigned NumSv = Model.program().NumSv;
-  int64_t Begin = M * CellsPer, End = Begin + CellsPer;
-  for (int64_t C = Begin; C != End; ++C) {
-    for (unsigned S = 0; S != NumSv; ++S)
-      if (!(std::fabs(Buf.readState(C, S)) <= P.StateMagLimit))
-        return false;
-    for (size_t J = 0; J != Buf.numExternals(); ++J) {
-      double V = Buf.readExt(J, C);
-      bool Ok = int(J) == VmIdx ? (V >= P.VmLo && V <= P.VmHi)
-                                : (std::fabs(V) <= P.StateMagLimit);
-      if (!Ok)
-        return false;
-    }
-  }
-  return true;
-}
-
-bool EnsembleRunner::scanIsHealthy() const {
-  // Fast path: no quarantined member yet, one vectorized pass.
-  if (QuarantinedCount == 0)
-    return Simulator::scanIsHealthy();
-  // Member-partitioned scan: quarantined slices are pinned to their last
-  // healthy state each step, but they must never fail the population
-  // even if a pin lands mid-restore; everyone else is scanned normally.
-  for (int64_t M = 0; M != numMembers(); ++M)
-    if (Members[size_t(M)].Status != MemberStatus::Quarantined &&
-        !memberSliceHealthy(M))
-      return false;
-  return true;
-}
-
-void EnsembleRunner::restoreMemberSlice(int64_t M) {
-  unsigned NumSv = Model.program().NumSv;
-  int64_t Begin = M * CellsPer, End = Begin + CellsPer;
-  for (int64_t C = Begin; C != End; ++C) {
-    for (unsigned S = 0; S != NumSv; ++S)
-      Buf.writeState(C, S, Buf.snapshotState(Ck.Snap, C, S));
-    for (size_t J = 0; J != Buf.numExternals(); ++J)
-      Buf.writeExt(J, C, Ck.Snap.Exts[J][size_t(C)]);
-  }
-}
-
-void EnsembleRunner::rerunMemberWindow(int64_t M, int64_t Window,
-                                       int Substeps) {
-  int64_t Begin = M * CellsPer, End = Begin + CellsPer;
-  // AoSoA vector kernels must start on a block boundary, so widen the
-  // range outward to whole blocks and save/restore the neighbor cells
-  // caught in it — only this member's trajectory may change.
-  int64_t BW = int64_t(std::max(Buf.blockWidth(), 1u));
-  int64_t RBegin = Begin - (Begin % BW);
-  int64_t REnd = std::min((End + BW - 1) / BW * BW, Opts.NumCells);
-  unsigned NumSv = Model.program().NumSv;
-  size_t NumExt = Buf.numExternals();
-  size_t PerCell = size_t(NumSv) + NumExt;
-  NeighborCells.clear();
-  for (int64_t C = RBegin; C != REnd; ++C)
-    if (C < Begin || C >= End)
-      NeighborCells.push_back(C);
-  NeighborBuf.resize(NeighborCells.size() * PerCell);
-  for (size_t I = 0; I != NeighborCells.size(); ++I)
-    Buf.gatherCell(NeighborCells[I], &NeighborBuf[I * PerCell],
-                   &NeighborBuf[I * PerCell] + NumSv);
-
-  double MT = Ck.T;
-  double SubDt = Opts.Dt / Substeps;
-  bool TraceHere = Opts.RecordTrace && VmIdx >= 0 &&
-                   Opts.TraceCell >= Begin && Opts.TraceCell < End;
-  for (int64_t Step = 0; Step != Window; ++Step) {
-    for (int S = 0; S != Substeps; ++S) {
-      KernelArgs Args;
-      Args.State = Buf.state();
-      Args.Exts = Buf.extPointers();
-      Args.Params = Params.data();
-      Args.Start = RBegin;
-      Args.End = REnd;
-      Args.NumCells = Opts.NumCells;
-      Args.Dt = SubDt;
-      Args.T = MT;
-      Args.Luts = &SimLuts;
-      Model.computeStep(Args);
-      if (hasVoltageCoupling()) {
-        // Same stimulus formula as voltageStage, at the member-local
-        // re-run time.
-        double Phase = MT;
-        if (Opts.StimPeriod > 0)
-          Phase = std::fmod(MT, Opts.StimPeriod);
-        double Stim = (Phase >= Opts.StimStart &&
-                       Phase < Opts.StimStart + Opts.StimDuration)
-                          ? Opts.StimStrength
-                          : 0.0;
-        double *Vm = Buf.ext(size_t(VmIdx));
-        const double *Iion = Buf.ext(size_t(IionIdx));
-        for (int64_t C = RBegin; C != REnd; ++C)
-          Vm[C] += SubDt * (Stim - Iion[C]);
-      }
-      MT += SubDt;
-    }
-    if (Substeps > 1)
-      Report.Substeps += Substeps - 1;
-    // The failed fast-path window already pushed trace entries for these
-    // steps; overwrite them with the healed trajectory when the traced
-    // cell lives in this member.
-    if (TraceHere && Ck.TraceLen + size_t(Step) < Trace.size())
-      Trace[Ck.TraceLen + size_t(Step)] =
-          Buf.readExt(size_t(VmIdx), Opts.TraceCell);
-  }
-
-  for (size_t I = 0; I != NeighborCells.size(); ++I)
-    Buf.scatterCell(NeighborCells[I], &NeighborBuf[I * PerCell],
-                    &NeighborBuf[I * PerCell] + NumSv);
-}
-
-void EnsembleRunner::rerunMemberScalar(int64_t M, int64_t Window) {
-  int64_t Begin = M * CellsPer, End = Begin + CellsPer;
-  unsigned NumSv = Model.program().NumSv;
-  size_t NumExt = Buf.numExternals();
-  std::vector<double> Sv(NumSv), Ext(NumExt);
-  double MT = Ck.T;
-  bool TraceHere = Opts.RecordTrace && VmIdx >= 0 &&
-                   Opts.TraceCell >= Begin && Opts.TraceCell < End;
-  for (int64_t Step = 0; Step != Window; ++Step) {
-    double Phase = MT;
-    if (Opts.StimPeriod > 0)
-      Phase = std::fmod(MT, Opts.StimPeriod);
-    double Stim = (Phase >= Opts.StimStart &&
-                   Phase < Opts.StimStart + Opts.StimDuration)
-                      ? Opts.StimStrength
-                      : 0.0;
-    for (int64_t C = Begin; C != End; ++C) {
-      Buf.gatherCell(C, Sv.data(), Ext.data());
-      KernelArgs Args;
-      Args.Params = Params.data();
-      Args.Start = 0;
-      Args.End = 1;
-      Args.NumCells = 1;
-      Args.Dt = Opts.Dt;
-      Args.T = MT;
-      Args.Exts.resize(NumExt);
-      for (size_t J = 0; J != NumExt; ++J)
-        Args.Exts[J] = &Ext[J];
-      Args.State = Sv.data();
-      RecoveryModel->computeStep(Args);
-      if (hasVoltageCoupling())
-        Ext[size_t(VmIdx)] +=
-            Opts.Dt * (Stim - Ext[size_t(IionIdx)]);
-      Buf.scatterCell(C, Sv.data(), Ext.data());
-    }
-    MT += Opts.Dt;
-    if (TraceHere && Ck.TraceLen + size_t(Step) < Trace.size())
-      Trace[Ck.TraceLen + size_t(Step)] =
-          Buf.readExt(size_t(VmIdx), Opts.TraceCell);
-  }
-}
-
-void EnsembleRunner::quarantineMember(int64_t M, QuarantineReason R) {
-  int64_t Begin = M * CellsPer, End = Begin + CellsPer;
-  // Pin every cell of the member to its value in the last healthy
-  // checkpoint; finishStep keeps re-pinning them each step, so the fast
-  // path can keep streaming over the lanes without the member's poison
-  // parameters ever counting against population health again.
-  for (int64_t C = Begin; C != End; ++C)
-    freezeCell(C);
-  restoreFrozenCells();
-  Member &S = Members[size_t(M)];
-  S.Status = MemberStatus::Quarantined;
-  S.Reason = R;
-  S.QuarantineStep = Ck.StepCount;
-  ++QuarantinedCount;
-  telemetry::counter("sim.ensemble.quarantined").add(1);
-}
-
-void EnsembleRunner::recoverWindow(int64_t Window) {
-  telemetry::TraceSpan Span("ensemble-recovery", "sim");
-  auto T0 = Clock::now();
-  double ScanSecondsAtEntry = Report.ScanSeconds;
-  const GuardRailOptions &G = Opts.Guard;
-  ++Report.FaultEvents;
-
-  // Map faulty cells onto members, skipping quarantined slices (their
-  // pins can transiently read dirty if an injector pokes them).
-  std::vector<int64_t> BadMembers;
-  int64_t BadCells = 0;
-  for (int64_t C : faultyCells()) {
-    int64_t M = C / CellsPer;
-    if (Members[size_t(M)].Status == MemberStatus::Quarantined)
-      continue;
-    ++BadCells;
-    if (BadMembers.empty() || BadMembers.back() != M)
-      BadMembers.push_back(M);
-  }
-  Report.FaultyCells += BadCells;
-
-  // Corrupted LUT tables poison every re-run identically; skip straight
-  // to the scalar-exact rung, as the base ladder does.
-  bool TablesBroken = !SimLuts.allFinite();
-
-  // Members are handled serially in ascending order: the ladder for one
-  // member touches only its own slice (plus saved-and-restored block
-  // neighbors), which is what makes the outcome independent of thread
-  // count and of which other members fault.
-  for (int64_t M : BadMembers) {
-    Member &S = Members[size_t(M)];
-    S.FaultSteps += Window;
-
-    // Rung 1: re-integrate just this member's slice from its view of
-    // the last healthy checkpoint, halving dt per retry.
-    bool Healed = false;
-    for (int Retry = 1; !TablesBroken && !Healed && Retry <= G.MaxRetries;
-         ++Retry) {
-      restoreMemberSlice(M);
-      ++Report.Retries;
-      ++S.DtRetries;
-      rerunMemberWindow(M, Window, 1 << Retry);
-      Healed = memberSliceHealthy(M);
-    }
-    if (Healed) {
-      if (S.Status == MemberStatus::Ok)
-        S.Status = MemberStatus::Recovered;
-      continue;
-    }
-
-    // Rung 2: exact-scalar re-run of just this slice at nominal dt; on
-    // success the member stays on the scalar path for the rest of the
-    // run.
-    if (G.AllowScalarFallback && ensureRecoveryModel()) {
-      restoreMemberSlice(M);
-      rerunMemberScalar(M, Window);
-      if (memberSliceHealthy(M)) {
-        for (int64_t C = M * CellsPer; C != (M + 1) * CellsPer; ++C)
-          degradeToScalar(C);
-        S.Status = MemberStatus::ScalarExact;
-        continue;
-      }
-      quarantineMember(M, QuarantineReason::ScalarFault);
-      continue;
-    }
-
-    // Rung 3: no scalar fallback left — the member hit its dt floor.
-    quarantineMember(M, QuarantineReason::DtFloor);
-  }
-
-  // Defensive last resort, mirroring the base ladder: anything still
-  // unhealthy (e.g. a fault that straddles the member pattern) is frozen
-  // in place so the population is clean by construction.
-  if (!timedScan()) {
-    for (int64_t C : faultyCells())
-      if (Members[size_t(C / CellsPer)].Status != MemberStatus::Quarantined)
-        freezeCell(C);
-    restoreFrozenCells();
-  }
-  takeCheckpoint();
-  double ScanPortion = Report.ScanSeconds - ScanSecondsAtEntry;
-  Report.RecoverySeconds += secondsSince(T0) - ScanPortion;
-}
-
-//===----------------------------------------------------------------------===//
-// Checkpoint integration (v3 ensemble section)
-//===----------------------------------------------------------------------===//
-
-void EnsembleRunner::annotateCheckpoint(CheckpointData &C) const {
-  C.EnsembleMembers = numMembers();
-  C.EnsembleCellsPerMember = CellsPer;
-  C.EnsembleSpecHash = SpecHash;
-  C.EnsembleStatus.resize(Members.size());
-  for (size_t M = 0; M != Members.size(); ++M) {
-    const Member &S = Members[M];
-    C.EnsembleStatus[M] = {uint8_t(S.Status), uint8_t(S.Reason), S.DtRetries,
-                           S.FaultSteps, S.QuarantineStep};
-  }
-}
-
-Status EnsembleRunner::validateResume(const CheckpointData &C) const {
-  if (C.TissueNX > 0)
-    return Status::error("cannot resume: checkpoint is a tissue run; "
-                         "resume it with a tissue simulator");
-  if (C.EnsembleMembers == 0)
-    return Status::error("cannot resume: checkpoint is not an ensemble "
-                         "run; resume it with a plain simulator");
-  if (C.EnsembleMembers != numMembers() ||
-      C.EnsembleCellsPerMember != CellsPer)
-    return Status::error(
-        "cannot resume: ensemble shape mismatch (checkpoint has " +
-        std::to_string(C.EnsembleMembers) + " members x " +
-        std::to_string(C.EnsembleCellsPerMember) + " cells, this sweep is " +
-        std::to_string(numMembers()) + " x " + std::to_string(CellsPer) +
-        ")");
-  if (C.EnsembleSpecHash != SpecHash)
-    return Status::error("cannot resume: checkpoint was captured under a "
-                         "different sweep (spec hash mismatch)");
-  if (int64_t(C.EnsembleStatus.size()) != numMembers())
-    return Status::error("cannot resume: ensemble member-status section "
-                         "does not match the member count");
-  return Status::success();
-}
-
-void EnsembleRunner::applyResume(const CheckpointData &C) {
-  QuarantinedCount = 0;
-  for (size_t M = 0; M != Members.size(); ++M) {
-    const CheckpointData::EnsembleMember &E = C.EnsembleStatus[M];
-    Member &S = Members[M];
-    S.Status = MemberStatus(E.Status);
-    S.Reason = QuarantineReason(E.Reason);
-    S.DtRetries = E.DtRetries;
-    S.FaultSteps = E.FaultSteps;
-    S.QuarantineStep = E.QuarantineStep;
-    if (S.Status == MemberStatus::Quarantined)
-      ++QuarantinedCount;
-  }
 }

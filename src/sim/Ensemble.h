@@ -11,17 +11,17 @@
 //   - amortization: one compile (plus one recovery-model compile at
 //     most), one LUT build, one shard plan, contiguous vector stepping
 //     across member boundaries (bench/EnsembleBench.cpp measures it);
-//   - fault isolation: a pathological parameter point that blows up its
-//     integration walks a *member-local* degradation ladder (dt-retry
-//     from the member's slice of the last healthy checkpoint, then an
-//     exact-scalar re-run of just that slice, then quarantine) while
-//     every healthy member keeps stepping untouched. The run finishes
-//     with partial results — "997/1000 ok, 3 quarantined" — instead of
-//     dying on the worst member (docs/ENSEMBLE.md).
+//   - fault isolation: each member is one member of the Simulator's
+//     recovery ladder, so a pathological parameter point that blows up
+//     its integration walks dt-retry, then scalar-exact, then quarantine,
+//     while every healthy member keeps a trajectory bit-identical to an
+//     undisturbed run. The run finishes with partial results — "997/1000
+//     ok, 3 quarantined" — instead of dying on the worst member
+//     (docs/ENSEMBLE.md).
 //
-// Checkpoints carry a v3 ensemble section (member count, slice width,
-// spec hash, per-member status), so a SIGKILL'd sweep resumes
-// bit-identically, already-quarantined members included.
+// Checkpoints carry the member shape and the spec hash in their member
+// section, so a SIGKILL'd sweep resumes bit-identically, already
+// quarantined members included, and never under another sweep.
 //
 //===----------------------------------------------------------------------===//
 
@@ -40,24 +40,6 @@
 
 namespace limpet {
 namespace sim {
-
-/// Where a sweep member stands after (or during) a run.
-enum class MemberStatus : uint8_t {
-  Ok = 0,      ///< full-speed path, never faulted
-  Recovered,   ///< healed by a member-local dt-retry
-  ScalarExact, ///< permanently degraded to the exact scalar kernel
-  Quarantined, ///< pinned to its last healthy state and excluded
-};
-
-/// Why a member was quarantined.
-enum class QuarantineReason : uint8_t {
-  None = 0,
-  DtFloor,     ///< dt-halving ladder exhausted, no scalar fallback left
-  ScalarFault, ///< faulted even on the exact scalar re-run
-};
-
-std::string_view memberStatusName(MemberStatus S);
-std::string_view quarantineReasonName(QuarantineReason R);
 
 /// One parameter override of one member.
 struct ParamOverride {
@@ -108,14 +90,9 @@ struct EnsembleSpec {
 
 /// Per-member outcome of an ensemble run, streamed as one NDJSON line
 /// per member by limpetc --member-stats and the daemon's job runner.
-struct MemberReport {
+struct MemberReport : MemberRecord {
   int64_t Member = 0;
-  MemberStatus Status = MemberStatus::Ok;
-  QuarantineReason Reason = QuarantineReason::None;
-  int64_t DtRetries = 0;      ///< member-local dt-halving re-runs
-  int64_t FaultSteps = 0;     ///< nominal steps re-integrated for it
-  int64_t QuarantineStep = -1; ///< step its state is pinned at (-1: none)
-  double Checksum = 0;        ///< order-independent slice digest
+  double Checksum = 0; ///< order-independent slice digest
 
   /// One compact NDJSON line ({"member":..,"status":..,...}).
   std::string json() const;
@@ -160,22 +137,15 @@ Expected<EnsembleModel> buildEnsembleModel(const easyml::ModelInfo &Info,
 
 /// Steps a whole parameter sweep as one population. Member M owns the
 /// contiguous cell slice [M*CellsPerMember, (M+1)*CellsPerMember); the
-/// inherited guarded run loop detects faults, and the overridden
-/// recovery ladder handles them member-locally so healthy members never
-/// roll back. Construct with Opts.NumCells ignored (the spec dictates
+/// inherited guarded run loop and recovery ladder treat each slice as
+/// one member. Construct with Opts.NumCells ignored (the spec dictates
 /// the population size).
 class EnsembleRunner : public Simulator {
 public:
   EnsembleRunner(const EnsembleModel &EM, const SimOptions &Opts);
 
-  int64_t numMembers() const { return int64_t(Members.size()); }
-  int64_t cellsPerMember() const { return CellsPer; }
   const EnsembleSpec &spec() const { return EM.Spec; }
   uint64_t specHash() const { return SpecHash; }
-
-  MemberStatus memberStatus(int64_t M) const;
-  int64_t membersQuarantined() const { return QuarantinedCount; }
-  int64_t membersOk() const { return numMembers() - QuarantinedCount; }
 
   /// Order-independent digest of one member's slice (state + externals,
   /// member-local traversal, so the value is invariant to where the
@@ -189,53 +159,11 @@ public:
   /// telemetry sink and limpetc --member-stats emit.
   std::string memberStatsNdjson() const;
 
-  /// Member-partitioned health scan: with no quarantined member this is
-  /// the base vectorized scan; once members are quarantined their pinned
-  /// slices stop counting against population health.
-  bool scanIsHealthy() const override;
-
-protected:
-  /// The member-local degradation ladder (replaces the population-wide
-  /// rollback): for each faulting member — dt-retry its slice from the
-  /// member's view of the last healthy checkpoint, then an exact-scalar
-  /// re-run of just that slice, then quarantine. Healthy members keep
-  /// the full-speed window they already stepped.
-  void recoverWindow(int64_t Window) override;
-  void annotateCheckpoint(CheckpointData &C) const override;
-  Status validateResume(const CheckpointData &C) const override;
-  void applyResume(const CheckpointData &C) override;
-
 private:
-  struct Member {
-    MemberStatus Status = MemberStatus::Ok;
-    QuarantineReason Reason = QuarantineReason::None;
-    int64_t DtRetries = 0;
-    int64_t FaultSteps = 0;
-    int64_t QuarantineStep = -1;
-  };
-
   /// Writes each member's parameter point into the lowered externals.
   void applyOverrides();
-  bool memberSliceHealthy(int64_t M) const;
-  /// Restores one member's cells from the in-memory checkpoint.
-  void restoreMemberSlice(int64_t M);
-  /// Re-integrates one member's slice over the failed window with the
-  /// compiled kernel at dt/Substeps (block-aligned range; neighbor cells
-  /// inside the widened range are saved and restored around the re-run).
-  void rerunMemberWindow(int64_t M, int64_t Window, int Substeps);
-  /// Re-integrates one member's slice with the exact scalar recovery
-  /// kernel at nominal dt.
-  void rerunMemberScalar(int64_t M, int64_t Window);
-  void quarantineMember(int64_t M, QuarantineReason R);
 
   const EnsembleModel &EM;
-  int64_t CellsPer = 1;
-  uint64_t SpecHash = 0;
-  std::vector<Member> Members;
-  int64_t QuarantinedCount = 0;
-  /// Scratch for saving neighbor cells around a block-aligned re-run.
-  std::vector<double> NeighborBuf;
-  std::vector<int64_t> NeighborCells;
 };
 
 } // namespace sim

@@ -25,16 +25,30 @@ bool sim::allWithinRange(const double *Data, size_t N, double Lo, double Hi) {
   return Bad == 0;
 }
 
-std::string_view sim::cellModeName(CellMode M) {
-  switch (M) {
-  case CellMode::Normal:
-    return "normal";
-  case CellMode::ScalarExact:
+std::string_view sim::memberStatusName(MemberStatus S) {
+  switch (S) {
+  case MemberStatus::Ok:
+    return "ok";
+  case MemberStatus::Recovered:
+    return "recovered";
+  case MemberStatus::ScalarExact:
     return "scalar-exact";
-  case CellMode::Frozen:
-    return "frozen";
+  case MemberStatus::Quarantined:
+    return "quarantined";
   }
-  return "?";
+  return "unknown";
+}
+
+std::string_view sim::quarantineReasonName(QuarantineReason R) {
+  switch (R) {
+  case QuarantineReason::None:
+    return "none";
+  case QuarantineReason::DtFloor:
+    return "dt-floor";
+  case QuarantineReason::ScalarFault:
+    return "scalar-fault";
+  }
+  return "unknown";
 }
 
 void RunReport::merge(const RunReport &Other) {

@@ -48,6 +48,26 @@ Status RunSpec::validate() const {
   return Config.validate();
 }
 
+Expected<TissueGrid> sim::parseTissueGrid(std::string_view Text) {
+  // One decimal count of at least 1 per dimension, nothing else.
+  auto Count = [](std::string_view Digits, int64_t &Out) {
+    if (Digits.empty() || Digits.size() > 12 ||
+        Digits.find_first_not_of("0123456789") != std::string_view::npos)
+      return false;
+    Out = 0;
+    for (char Ch : Digits)
+      Out = Out * 10 + (Ch - '0');
+    return Out >= 1;
+  };
+  TissueGrid G;
+  size_t X = Text.find_first_of("xX");
+  if (!Count(Text.substr(0, X), G.NX) ||
+      (X != std::string_view::npos && !Count(Text.substr(X + 1), G.NY)))
+    return Status::error("bad tissue grid '" + std::string(Text) +
+                         "' (want NX or NXxNY, each at least 1)");
+  return G;
+}
+
 /// Compiles a sweep: one frontend run, the swept parameters lowered to
 /// per-cell externals, one compile of the lowered model and, off the VM
 /// tier, one native kernel for it. The base model is never compiled.

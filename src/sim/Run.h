@@ -75,6 +75,11 @@ struct RunSpec {
   Status validate() const;
 };
 
+/// Parses a tissue grid size as limpetc --tissue and limpetctl --tissue
+/// take it: "NX" or "NXxNY" ('X' also separates), with NX and NY >= 1.
+/// The grid keeps the default node spacing.
+Expected<TissueGrid> parseTissueGrid(std::string_view Text);
+
 /// What differs between the callers of one RunSpec.
 struct RunEnv {
   unsigned Threads = 1; ///< stepping threads (results are thread-invariant)

@@ -38,10 +38,6 @@ SimOptions sanitizeOptions(SimOptions Opts) {
     Opts.Dt = 0.01;
   if (Opts.TraceCell < 0 || Opts.TraceCell >= Opts.NumCells)
     Opts.TraceCell = 0;
-  if (Opts.Guard.ScanInterval < 1)
-    Opts.Guard.ScanInterval = 1;
-  if (Opts.Guard.MaxRetries < 0)
-    Opts.Guard.MaxRetries = 0;
   if (Opts.Checkpoint.EveryN < 0)
     Opts.Checkpoint.EveryN = 0;
   if (Opts.Checkpoint.Retain < 1)
@@ -109,12 +105,15 @@ void Simulator::finishStep() {
   ++StepCount;
   if (Injector)
     Injector(*this);
-  if (!Frozen.empty())
-    restoreFrozenCells();
+  if (Report.CellsFrozen > 0)
+    restorePins();
   if (Opts.RecordTrace)
-    Trace.push_back(VmIdx >= 0
-                        ? Buf.readExt(size_t(VmIdx), Opts.TraceCell)
-                        : stateOf(Opts.TraceCell, 0));
+    Trace.push_back(traceValue());
+}
+
+double Simulator::traceValue() const {
+  return VmIdx >= 0 ? Buf.readExt(size_t(VmIdx), Opts.TraceCell)
+                    : stateOf(Opts.TraceCell, 0);
 }
 
 void Simulator::step() {
@@ -208,10 +207,9 @@ void Simulator::foldReportIntoTelemetry(const RunReport &Before) {
 }
 
 void Simulator::runGuarded(int64_t Target) {
-  int64_t Interval = Opts.Guard.ScanInterval;
   takeCheckpoint();
   while (StepCount < Target) {
-    int64_t Window = std::min(Interval, Target - StepCount);
+    int64_t Window = std::min(kScanInterval, Target - StepCount);
     runWindow(Window, 1);
     if (timedScan())
       takeCheckpoint();
@@ -289,95 +287,161 @@ void Simulator::recoverWindow(int64_t Window) {
     R->instant("fault-detected", "sim");
   auto T0 = Clock::now();
   double ScanSecondsAtEntry = Report.ScanSeconds;
-  const GuardRailOptions &G = Opts.Guard;
   ++Report.FaultEvents;
-  std::vector<int64_t> Bad = faultyCells();
-  Report.FaultyCells += int64_t(Bad.size());
+  int64_t BadCells = 0;
+  std::vector<int64_t> Bad = faultyMembers(&BadCells);
+  Report.FaultyCells += BadCells;
+  for (int64_t M : Bad)
+    Members[M].FaultSteps += Window;
+  // Drops the members a rung healed from the next rung; one that healed
+  // on the full-speed path is Recovered.
+  auto DropHealed = [&] {
+    std::erase_if(Bad, [&](int64_t M) {
+      if (!memberHealthy(M))
+        return false;
+      if (Members[M].Status == MemberStatus::Ok)
+        Members[M].Status = MemberStatus::Recovered;
+      return true;
+    });
+  };
 
-  // A corrupted lookup table cannot be healed by re-integration — every
-  // retry would read the same poisoned rows — so skip the dt ladder and
-  // go straight to the scalar-exact fallback.
+  // Rung 1: re-run the window at dt/2, dt/4, dt/8. A corrupted lookup
+  // table cannot be healed by re-integration — every retry would read the
+  // same poisoned rows — so it goes straight to the scalar-exact rung.
   bool TablesBroken = !SimLuts.allFinite();
-
-  // Rung 1: roll back and re-integrate the window with halved dt
-  // (exponential backoff: retry k runs at dt / 2^k).
-  bool Healed = false;
-  for (int Retry = 1; !TablesBroken && !Healed && Retry <= G.MaxRetries;
+  for (int Retry = 1; !TablesBroken && !Bad.empty() && Retry <= kMaxDtRetries;
        ++Retry) {
-    rollback();
     ++Report.Retries;
-    runWindow(Window, 1 << Retry);
-    Healed = timedScan();
+    for (int64_t M : Bad)
+      ++Members[M].DtRetries;
+    rerunWindow(Bad, Window, 1 << Retry);
+    DropHealed();
   }
 
-  // Rung 2: degrade the faulty cells to the exact scalar kernel (no LUTs,
-  // libm) and re-run the window at nominal dt, so healthy cells stay
-  // bit-identical to an undisturbed run.
-  if (!Healed && G.AllowScalarFallback && ensureRecoveryModel()) {
-    rollback();
-    for (int64_t C : Bad)
-      degradeToScalar(C);
-    runWindow(Window, 1);
-    Healed = timedScan();
+  // Rung 2: the members still faulty move to the exact scalar kernel (no
+  // LUTs, libm) for the rest of the run, and the window re-runs at
+  // nominal dt.
+  bool HasScalar = !Bad.empty() && ensureRecoveryModel();
+  if (HasScalar) {
+    for (int64_t M : Bad)
+      degradeMember(M);
+    rerunWindow(Bad, Window, 1);
+    DropHealed();
   }
 
-  // Rung 3: freeze whatever still faults to its last healthy checkpoint
-  // value. A couple of rounds cover injectors that shift targets between
-  // re-runs.
-  for (int Round = 0; !Healed && G.AllowFreeze && Round != 4; ++Round) {
-    std::vector<int64_t> Still = faultyCells();
-    rollback();
-    for (int64_t C : Still)
-      freezeCell(C);
-    runWindow(Window, 1);
-    Healed = timedScan();
-  }
-
-  if (!Healed) {
-    // Last resort (freeze disabled or a nondeterministic fault): pin every
-    // faulty cell to its checkpoint snapshot in place, which cleans the
-    // population by construction.
-    for (int64_t C : faultyCells())
-      freezeCell(C);
-    restoreFrozenCells();
-  }
+  // Whatever no rung healed is quarantined, and so is any member a final
+  // scan still finds faulty, so the population is clean by construction.
+  QuarantineReason Why =
+      HasScalar ? QuarantineReason::ScalarFault : QuarantineReason::DtFloor;
+  for (int64_t M : Bad)
+    quarantineMember(M, Why);
+  if (!timedScan())
+    for (int64_t M : faultyMembers())
+      quarantineMember(M, Why);
   takeCheckpoint();
   double ScanPortion = Report.ScanSeconds - ScanSecondsAtEntry;
   Report.RecoverySeconds += secondsSince(T0) - ScanPortion;
 }
 
+void Simulator::rerunWindow(const std::vector<int64_t> &Rung, int64_t Window,
+                            int Substeps) {
+  // A rung that covers every member has nothing to put back.
+  bool Partial = int64_t(Rung.size()) != numMembers();
+  StateBuffer::Snapshot Before;
+  std::vector<double> TraceBefore;
+  if (Partial) {
+    Buf.save(Before);
+    TraceBefore.assign(Trace.begin() + ptrdiff_t(Ck.TraceLen), Trace.end());
+  }
+  rollback();
+  runWindow(Window, Substeps);
+  if (!Partial)
+    return;
+
+  // Keep the rung's cells, put everything else back (AoSoA pad lanes
+  // included, so the state array matches an undisturbed run byte for
+  // byte outside the rung).
+  unsigned NumSv = Buf.numSv();
+  size_t PerCell = NumSv + Buf.numExternals();
+  std::vector<double> Kept(Rung.size() * size_t(CellsPer) * PerCell);
+  double *Out = Kept.data();
+  for (int64_t M : Rung)
+    for (int64_t C = M * CellsPer; C != (M + 1) * CellsPer; ++C, Out += PerCell)
+      Buf.gatherCell(C, Out, Out + NumSv);
+  bool TraceInRung = std::binary_search(Rung.begin(), Rung.end(),
+                                        Opts.TraceCell / CellsPer);
+  Buf.restore(Before);
+  Out = Kept.data();
+  for (int64_t M : Rung)
+    for (int64_t C = M * CellsPer; C != (M + 1) * CellsPer; ++C, Out += PerCell)
+      Buf.scatterCell(C, Out, Out + NumSv);
+  if (!TraceInRung)
+    std::copy(TraceBefore.begin(), TraceBefore.end(),
+              Trace.begin() + ptrdiff_t(Ck.TraceLen));
+}
+
 bool Simulator::scanIsHealthy() const {
-  const HealthPolicy &P = Opts.Guard.Policy;
-  if (!allWithinMagnitude(Buf.state(), Buf.stateSize(), P.StateMagLimit))
-    return false;
-  for (size_t J = 0; J != Buf.numExternals(); ++J) {
+  bool InBounds =
+      allWithinMagnitude(Buf.state(), Buf.stateSize(), kStateMagLimit);
+  for (size_t J = 0; InBounds && J != Buf.numExternals(); ++J) {
     const double *E = Buf.ext(J);
-    bool Ok = int(J) == VmIdx
-                  ? allWithinRange(E, size_t(Opts.NumCells), P.VmLo, P.VmHi)
-                  : allWithinMagnitude(E, size_t(Opts.NumCells),
-                                       P.StateMagLimit);
-    if (!Ok)
+    InBounds = int(J) == VmIdx
+                   ? allWithinRange(E, size_t(Opts.NumCells), kVmLo, kVmHi)
+                   : allWithinMagnitude(E, size_t(Opts.NumCells),
+                                        kStateMagLimit);
+  }
+  if (InBounds || Report.CellsFrozen == 0)
+    return InBounds;
+  // A quarantined member is pinned to the last healthy checkpoint, which
+  // need not hold it in bounds: a member whose swept external exceeds the
+  // magnitude limit is faulty from step 0. Only the other members count.
+  for (int64_t M = 0; M != numMembers(); ++M)
+    if (memberStatus(M) != MemberStatus::Quarantined && !memberHealthy(M))
+      return false;
+  return true;
+}
+
+bool Simulator::cellHealthy(int64_t Cell) const {
+  for (unsigned Sv = 0; Sv != Buf.numSv(); ++Sv)
+    if (!(std::fabs(Buf.readState(Cell, Sv)) <= kStateMagLimit))
+      return false;
+  for (size_t J = 0; J != Buf.numExternals(); ++J) {
+    double V = Buf.readExt(J, Cell);
+    if (int(J) == VmIdx ? !(V >= kVmLo && V <= kVmHi)
+                        : !(std::fabs(V) <= kStateMagLimit))
       return false;
   }
   return true;
 }
 
+bool Simulator::memberHealthy(int64_t M) const {
+  for (int64_t C = M * CellsPer; C != (M + 1) * CellsPer; ++C)
+    if (!cellHealthy(C))
+      return false;
+  return true;
+}
+
 std::vector<int64_t> Simulator::faultyCells() const {
-  const HealthPolicy &P = Opts.Guard.Policy;
   std::vector<int64_t> Bad;
-  unsigned NumSv = Model.program().NumSv;
-  for (int64_t C = 0; C != Opts.NumCells; ++C) {
-    bool CellBad = false;
-    for (unsigned Sv = 0; Sv != NumSv && !CellBad; ++Sv)
-      CellBad = !(std::fabs(stateOf(C, Sv)) <= P.StateMagLimit);
-    for (size_t J = 0; J != Buf.numExternals() && !CellBad; ++J) {
-      double V = Buf.readExt(J, C);
-      CellBad = int(J) == VmIdx ? !(V >= P.VmLo && V <= P.VmHi)
-                                : !(std::fabs(V) <= P.StateMagLimit);
-    }
-    if (CellBad)
+  for (int64_t C = 0; C != Opts.NumCells; ++C)
+    if (!cellHealthy(C))
       Bad.push_back(C);
+  return Bad;
+}
+
+std::vector<int64_t> Simulator::faultyMembers(int64_t *FaultyCellsOut) const {
+  std::vector<int64_t> Bad;
+  int64_t Cells = 0;
+  for (int64_t C : faultyCells()) {
+    int64_t M = C / CellsPer;
+    if (memberStatus(M) == MemberStatus::Quarantined)
+      continue;
+    ++Cells;
+    if (Bad.empty() || Bad.back() != M)
+      Bad.push_back(M);
   }
+  if (FaultyCellsOut)
+    *FaultyCellsOut = Cells;
   return Bad;
 }
 
@@ -420,9 +484,10 @@ void Simulator::runScalarFallback(double Dt, bool Gather) {
     // pre-step state; the results are scattered over whatever the fast
     // path produced for those lanes once it has run.
     FallbackCells.clear();
-    for (int64_t C = 0; C != Opts.NumCells; ++C)
-      if (cellMode(C) == CellMode::ScalarExact)
-        FallbackCells.push_back(C);
+    for (const auto &[M, Rec] : Members)
+      if (Rec.Status == MemberStatus::ScalarExact)
+        for (int64_t C = M * CellsPer; C != (M + 1) * CellsPer; ++C)
+          FallbackCells.push_back(C);
     FallbackBuf.resize(FallbackCells.size() * PerCell);
     KernelArgs Args;
     Args.Params = Params.data();
@@ -450,59 +515,54 @@ void Simulator::runScalarFallback(double Dt, bool Gather) {
   }
 }
 
-void Simulator::degradeToScalar(int64_t Cell) {
-  if (Cell < 0 || Cell >= Opts.NumCells)
+void Simulator::degradeMember(int64_t M) {
+  MemberRecord &Rec = Members[M];
+  if (Rec.Status == MemberStatus::ScalarExact)
     return;
-  if (Modes.empty())
-    Modes.assign(size_t(Opts.NumCells), CellMode::Normal);
-  if (Modes[size_t(Cell)] != CellMode::Normal)
-    return;
-  Modes[size_t(Cell)] = CellMode::ScalarExact;
-  ++Report.CellsDegraded;
+  Rec.Status = MemberStatus::ScalarExact;
+  Report.CellsDegraded += CellsPer;
 }
 
-void Simulator::freezeCell(int64_t Cell) {
-  if (Cell < 0 || Cell >= Opts.NumCells)
-    return;
-  if (Modes.empty())
-    Modes.assign(size_t(Opts.NumCells), CellMode::Normal);
-  CellMode &M = Modes[size_t(Cell)];
-  if (M == CellMode::Frozen)
-    return;
-  if (M == CellMode::ScalarExact)
-    --Report.CellsDegraded;
-  M = CellMode::Frozen;
-  ++Report.CellsFrozen;
-
-  // Snapshot from the last healthy checkpoint when one exists; the
-  // current values otherwise.
-  FrozenSnapshot Snap;
-  unsigned NumSv = Model.program().NumSv;
-  Snap.Sv.resize(NumSv);
-  for (unsigned S = 0; S != NumSv; ++S)
-    Snap.Sv[S] = Ck.Valid ? Buf.snapshotState(Ck.Snap, Cell, S)
-                          : Buf.readState(Cell, S);
-  Snap.Ext.resize(Buf.numExternals());
-  for (size_t J = 0; J != Buf.numExternals(); ++J)
-    Snap.Ext[J] =
-        Ck.Valid ? Ck.Snap.Exts[J][size_t(Cell)] : Buf.readExt(J, Cell);
-  Frozen[Cell] = std::move(Snap);
+void Simulator::quarantineMember(int64_t M, QuarantineReason Why) {
+  // Callers pass only members faultyMembers() names, never quarantined.
+  MemberRecord &Rec = Members[M];
+  if (Rec.Status == MemberStatus::ScalarExact)
+    Report.CellsDegraded -= CellsPer;
+  Rec.Status = MemberStatus::Quarantined;
+  Rec.Reason = Why;
+  Rec.QuarantineStep = Ck.StepCount;
+  Report.CellsFrozen += CellsPer;
+  if (SpecHash != 0)
+    telemetry::counter("sim.ensemble.quarantined").add(1);
+  pinMember(M);
+  // The failed window's trace entries were recorded before the pin; they
+  // read the pinned value, as every later step's entry will.
+  if (Opts.RecordTrace && Opts.TraceCell / CellsPer == M)
+    std::fill(Trace.begin() + ptrdiff_t(Ck.TraceLen), Trace.end(),
+              traceValue());
 }
 
-void Simulator::restoreFrozenCells() {
-  unsigned NumSv = Model.program().NumSv;
-  for (const auto &[Cell, Snap] : Frozen) {
-    for (unsigned S = 0; S != NumSv; ++S)
-      Buf.writeState(Cell, S, Snap.Sv[S]);
+void Simulator::pinMember(int64_t M) {
+  // The fast path keeps streaming over a quarantined member's lanes; its
+  // cells go back to their values in the last healthy checkpoint, which
+  // every later checkpoint then carries unchanged.
+  for (int64_t C = M * CellsPer; C != (M + 1) * CellsPer; ++C) {
+    for (unsigned S = 0; S != Buf.numSv(); ++S)
+      Buf.writeState(C, S, Buf.snapshotState(Ck.Snap, C, S));
     for (size_t J = 0; J != Buf.numExternals(); ++J)
-      Buf.writeExt(J, Cell, Snap.Ext[J]);
+      Buf.writeExt(J, C, Ck.Snap.Exts[J][size_t(C)]);
   }
 }
 
-CellMode Simulator::cellMode(int64_t Cell) const {
-  if (Modes.empty() || Cell < 0 || Cell >= Opts.NumCells)
-    return CellMode::Normal;
-  return Modes[size_t(Cell)];
+void Simulator::restorePins() {
+  for (const auto &[M, Rec] : Members)
+    if (Rec.Status == MemberStatus::Quarantined)
+      pinMember(M);
+}
+
+MemberStatus Simulator::memberStatus(int64_t M) const {
+  auto It = Members.find(M);
+  return It == Members.end() ? MemberStatus::Ok : It->second.Status;
 }
 
 double Simulator::stateOf(int64_t Cell, int64_t Sv) const {
@@ -610,26 +670,9 @@ CheckpointData Simulator::captureCheckpoint() const {
   // run() returns; a checkpoint captured mid-run counts them itself.
   C.Report.StepsTaken += StepCount - RunStartStep;
 
-  if (!Modes.empty()) {
-    C.Modes.resize(Modes.size());
-    for (size_t I = 0; I != Modes.size(); ++I)
-      C.Modes[I] = uint8_t(Modes[I]);
-  }
-  // Sorted by cell so the serialized form is deterministic (the map is
-  // unordered).
-  std::vector<int64_t> FrozenCells;
-  FrozenCells.reserve(Frozen.size());
-  for (const auto &[Cell, Snap] : Frozen)
-    FrozenCells.push_back(Cell);
-  std::sort(FrozenCells.begin(), FrozenCells.end());
-  for (int64_t Cell : FrozenCells) {
-    const FrozenSnapshot &Snap = Frozen.at(Cell);
-    CheckpointData::FrozenCell F;
-    F.Cell = Cell;
-    F.Sv = Snap.Sv;
-    F.Ext = Snap.Ext;
-    C.Frozen.push_back(std::move(F));
-  }
+  C.CellsPerMember = CellsPer;
+  C.SpecHash = SpecHash;
+  C.Members = Members;
   annotateCheckpoint(C);
   return C;
 }
@@ -658,11 +701,22 @@ Status Simulator::resumeFrom(const CheckpointData &C) {
       C.Params.size() != Params.size())
     return Status::error("cannot resume: array sizes do not match the "
                          "compiled model");
-  if (!C.Modes.empty() && int64_t(C.Modes.size()) != Opts.NumCells)
-    return Status::error("cannot resume: degradation-mode array does not "
-                         "match the population");
   if (Status S = validateResume(C); !S)
     return S;
+  if (C.CellsPerMember != CellsPer || C.SpecHash != SpecHash) {
+    auto Shape = [&](int64_t Per, uint64_t Hash) {
+      return std::string(Hash ? "an ensemble of " : "not an ensemble (") +
+             std::to_string(Opts.NumCells / Per) + " members x " +
+             std::to_string(Per) + (Hash ? " cells" : " cells)");
+    };
+    if (C.CellsPerMember == CellsPer && (C.SpecHash == 0) == (SpecHash == 0))
+      return Status::error("cannot resume: checkpoint was captured under a "
+                           "different sweep (spec hash mismatch)");
+    return Status::error("cannot resume: member shape mismatch (checkpoint "
+                         "is " +
+                         Shape(C.CellsPerMember, C.SpecHash) +
+                         ", this run is " + Shape(CellsPer, SpecHash) + ")");
+  }
 
   std::memcpy(Buf.state(), C.State.data(),
               C.State.size() * sizeof(double));
@@ -678,21 +732,13 @@ Status Simulator::resumeFrom(const CheckpointData &C) {
   Trace = C.Trace;
   Report = C.Report;
 
-  Modes.clear();
-  if (!C.Modes.empty()) {
-    Modes.resize(C.Modes.size());
-    for (size_t I = 0; I != C.Modes.size(); ++I)
-      Modes[I] = CellMode(C.Modes[I]);
-  }
-  Frozen.clear();
-  for (const CheckpointData::FrozenCell &F : C.Frozen)
-    Frozen[F.Cell] = FrozenSnapshot{F.Sv, F.Ext};
+  Members = C.Members;
 
-  // The in-memory guard-rail checkpoint does not survive the process;
-  // runGuarded retakes it from the restored population immediately.
-  Ck.Valid = false;
+  // The in-memory guard-rail checkpoint does not survive the process; it
+  // is retaken from the restored population, which holds the pinned
+  // values of quarantined members.
+  takeCheckpoint();
   Resumed = true;
   Interrupted = false;
-  applyResume(C);
   return Status::success();
 }

@@ -8,14 +8,19 @@
 // a transmembrane-voltage update Vm += dt*(Istim - Iion) plus a periodic
 // stimulus, enough to drive action potentials through the kernels.
 //
-// Guard rails (optional, SimOptions::Guard): run() periodically scans the
-// population for NaN/Inf/out-of-range values. On a fault it rolls the
-// population back to the last healthy checkpoint and walks a degradation
-// ladder — re-integrate the window with halved dt (bounded retries,
-// exponential backoff), fall faulty cells back to the exact scalar kernel,
-// and as a last resort freeze-and-flag them so they cannot poison the rest
-// of the population. The outcome is summarized in a RunReport. See
-// docs/ROBUSTNESS.md.
+// Guard rails (optional, SimOptions::Guard): run() scans the population
+// for NaN/Inf/out-of-range values every kScanInterval steps. The unit of
+// recovery is the member, a set of cells whose results no other cell
+// depends on: a plain run is N one-cell members, a sweep its member
+// slices (EnsembleRunner), a tissue sheet one member, because diffusion
+// couples its nodes. The faulty members of a failed window walk one
+// ladder — re-run the window at dt/2, dt/4, dt/8, then on the exact
+// scalar kernel at nominal dt — and a member no rung heals is
+// quarantined, pinned at the last healthy checkpoint. Each rung re-runs
+// the whole population through advance() and then puts every member
+// outside the rung back as it was, so healthy members stay bit-identical
+// to an undisturbed run. The outcome is summarized in a RunReport and the
+// member records. See docs/ROBUSTNESS.md.
 //
 //===----------------------------------------------------------------------===//
 
@@ -32,30 +37,24 @@
 
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 namespace limpet {
 namespace sim {
 
-/// Fault-tolerance knobs for Simulator::run().
+/// Health-scan (and in-memory checkpoint) cadence of a guarded run, in
+/// steps. Each scan is one vectorized pass over the state and externals.
+inline constexpr int64_t kScanInterval = 8;
+/// dt-halving rungs of the recovery ladder: rung k re-runs the failed
+/// window at dt / 2^k.
+inline constexpr int kMaxDtRetries = 3;
+
+/// Fault-tolerance switch for Simulator::run().
 struct GuardRailOptions {
   /// Master switch; off preserves the raw stepping loop bit-for-bit.
   bool Enabled = false;
-  /// Health-scan (and checkpoint) cadence in steps. Each scan is one
-  /// vectorized pass over the state and external arrays.
-  int64_t ScanInterval = 8;
-  /// Rollback + dt-halving retries per faulty window (retry k re-runs the
-  /// window at dt / 2^k).
-  int MaxRetries = 3;
-  /// Numerical bounds a healthy population must satisfy.
-  HealthPolicy Policy;
-  /// Allow degrading persistently faulty cells to the exact scalar
-  /// (no-LUT, libm) kernel.
-  bool AllowScalarFallback = true;
-  /// Allow freezing cells that fault even on the scalar-exact path.
-  bool AllowFreeze = true;
 };
 
 /// Durable checkpoint/resume knobs for Simulator::run().
@@ -126,10 +125,10 @@ struct SimOptions {
 ///
 /// The stepping core is an extension point: advance() — one integration
 /// substep — is virtual, and everything around it (the guarded run loop,
-/// rollback/retry ladder, durable checkpoints, cancellation, resume) is
-/// inherited machinery. TissueSimulator overrides advance() with the
-/// operator-split diffusion pipeline and hooks captureCheckpoint /
-/// resumeFrom through annotateCheckpoint / validateResume.
+/// the member recovery ladder, durable checkpoints, cancellation, resume)
+/// is inherited machinery. TissueSimulator overrides advance() with the
+/// operator-split diffusion pipeline and adds its geometry section to
+/// checkpoints through annotateCheckpoint / validateResume.
 class Simulator {
 public:
   Simulator(const exec::CompiledModel &Model, const SimOptions &Opts);
@@ -154,15 +153,15 @@ public:
   //===--------------------------------------------------------------------===//
 
   /// Snapshots the full simulation state — population, progress,
-  /// parameters, trace, guard-rail accumulators and degradation modes —
-  /// into a serializable CheckpointData.
+  /// parameters, trace, guard-rail counters and member records — into a
+  /// serializable CheckpointData.
   CheckpointData captureCheckpoint() const;
 
   /// Restores this simulator from \p C. Refuses (recoverable error,
   /// state untouched) a checkpoint whose model name, source hash, engine
-  /// configuration or population shape does not match this simulator.
-  /// On success the next run() continues bit-identically to the run that
-  /// captured \p C.
+  /// configuration, population shape or member shape does not match this
+  /// simulator. On success the next run() continues bit-identically to
+  /// the run that captured \p C.
   Status resumeFrom(const CheckpointData &C);
 
   /// True when the last run() stopped early on a shutdown request,
@@ -215,23 +214,30 @@ public:
   bool hasVoltageCoupling() const { return VmIdx >= 0 && IionIdx >= 0; }
 
   //===--------------------------------------------------------------------===//
-  // Guard-rail introspection and fault injection
+  // Members, guard-rail introspection and fault injection
   //===--------------------------------------------------------------------===//
+
+  /// Member M is cells [M*cellsPerMember(), (M+1)*cellsPerMember()).
+  int64_t numMembers() const { return Opts.NumCells / CellsPer; }
+  int64_t cellsPerMember() const { return CellsPer; }
+  /// Where member \p M stands on the recovery ladder (Ok when out of
+  /// range).
+  MemberStatus memberStatus(int64_t M) const;
+  int64_t membersQuarantined() const { return Report.CellsFrozen / CellsPer; }
+  /// Members not quarantined (healed and degraded ones included).
+  int64_t membersOk() const { return numMembers() - membersQuarantined(); }
 
   /// What the last (or ongoing) run() did: faults, retries, substeps,
   /// degraded cells, scan overhead.
   const RunReport &report() const { return Report; }
 
-  /// Where a cell sits on the degradation ladder.
-  CellMode cellMode(int64_t Cell) const;
-
   /// One bulk health scan of the current population (also used by the
-  /// fault-injection harness to verify detection). Virtual: the ensemble
-  /// runner scans member slices so quarantined members stop counting
-  /// against population health.
-  virtual bool scanIsHealthy() const;
+  /// fault-injection harness to verify detection). Quarantined members
+  /// always pass it, even one pinned to values that were never in bounds
+  /// (a swept external beyond the magnitude limit).
+  bool scanIsHealthy() const;
 
-  /// Cells currently violating the health policy.
+  /// Cells currently violating the health bounds.
   std::vector<int64_t> faultyCells() const;
 
   /// Layout-aware direct write into the population (fault injection and
@@ -256,47 +262,35 @@ protected:
     size_t TraceLen = 0;
     bool Valid = false;
   };
-  struct FrozenSnapshot {
-    std::vector<double> Sv;
-    std::vector<double> Ext;
-  };
 
   void computeStage(double Dt);
   void voltageStage(double Dt);
-  /// One integration substep of size Dt (scalar-fallback cells
-  /// included). The virtual stepping core: the guarded run loop, the
-  /// dt-halving recovery ladder and the durable-checkpoint machinery all
-  /// drive whatever pipeline an override installs here.
+  /// One integration substep of size Dt (scalar-exact members included).
+  /// The virtual stepping core: the guarded run loop, every rung of the
+  /// recovery ladder and the durable-checkpoint machinery all drive
+  /// whatever pipeline an override installs here.
   virtual void advance(double Dt);
   /// Hook for subclasses to stamp extra sections (tissue geometry) into
   /// a captured checkpoint.
   virtual void annotateCheckpoint(CheckpointData &C) const { (void)C; }
   /// Extra resume validation a subclass needs (e.g. tissue geometry
-  /// cross-checks); runs after the base shape checks, before any state
-  /// is touched. The base refuses tissue checkpoints — a diffusion-coupled
-  /// field must not silently continue as an uncoupled population — and
-  /// ensemble checkpoints, whose per-member status only an EnsembleRunner
-  /// can restore.
+  /// cross-checks); runs after the base shape checks, before the member
+  /// check and before any state is touched. The base refuses tissue
+  /// checkpoints: a diffusion-coupled field must not silently continue as
+  /// an uncoupled population.
   virtual Status validateResume(const CheckpointData &C) const {
     if (C.TissueNX > 0)
       return Status::error(
           "cannot resume: checkpoint is a tissue run (" +
           std::to_string(C.TissueNX) + "x" + std::to_string(C.TissueNY) +
           " grid); resume it with a tissue simulator");
-    if (C.EnsembleMembers > 0)
-      return Status::error(
-          "cannot resume: checkpoint is an ensemble run (" +
-          std::to_string(C.EnsembleMembers) +
-          " members); resume it with an ensemble runner");
     return Status::success();
   }
-  /// Hook invoked at the very end of a successful resumeFrom, after all
-  /// base state is restored: subclasses re-derive whatever they keep
-  /// outside the base arrays (per-member ensemble status, ...).
-  virtual void applyResume(const CheckpointData &C) { (void)C; }
   /// Bookkeeping after the physics of one nominal step: injector hook,
-  /// frozen-cell restore, step count, trace.
+  /// quarantine pins, step count, trace.
   void finishStep();
+  /// The value the trace records for this step: Vm of the traced cell.
+  double traceValue() const;
   /// Runs \p Steps nominal steps, each split into \p Substeps kernel
   /// steps of Dt/Substeps.
   void runWindow(int64_t Steps, int Substeps);
@@ -307,10 +301,17 @@ protected:
   bool durableTick();
   /// Writes one durable checkpoint (timed, counted in telemetry).
   void writeDurableCheckpoint();
-  /// Walks the degradation ladder for the window that just failed its
-  /// health scan. Virtual: the ensemble runner replaces the
-  /// population-wide ladder with a member-local one.
-  virtual void recoverWindow(int64_t Window);
+  /// The recovery ladder for the window that just failed its scan.
+  void recoverWindow(int64_t Window);
+  /// One rung: rolls back, re-runs the window at dt/Substeps and puts
+  /// every member outside \p Rung back from the state before the rung.
+  void rerunWindow(const std::vector<int64_t> &Rung, int64_t Window,
+                   int Substeps);
+  /// Members (ascending, quarantined ones excluded) with a faulty cell;
+  /// \p FaultyCellsOut counts the faulty cells.
+  std::vector<int64_t> faultyMembers(int64_t *FaultyCellsOut = nullptr) const;
+  bool cellHealthy(int64_t Cell) const;
+  bool memberHealthy(int64_t M) const;
   /// scanIsHealthy plus scan-count/scan-time accounting.
   bool timedScan();
   /// Mirrors this run()'s RunReport deltas into the telemetry registry.
@@ -320,10 +321,14 @@ protected:
   void rollback();
   bool ensureRecoveryModel();
   void runScalarFallback(double Dt, bool Gather);
-  void degradeToScalar(int64_t Cell);
-  /// Freezes \p Cell to its value in the last healthy checkpoint.
-  void freezeCell(int64_t Cell);
-  void restoreFrozenCells();
+  void degradeMember(int64_t M);
+  /// Marks member \p M quarantined and pins it, the trace of the failed
+  /// window included.
+  void quarantineMember(int64_t M, QuarantineReason Why);
+  /// Writes member \p M's cells from the last healthy checkpoint.
+  void pinMember(int64_t M);
+  /// Re-pins every quarantined member (after each step).
+  void restorePins();
 
   const exec::CompiledModel &Model;
   /// Per-simulation LUT tables (rebuilt when parameters change).
@@ -343,12 +348,17 @@ protected:
   int64_t StepCount = 0;
   std::vector<double> Trace;
 
+  // Member table. Subclasses set the shape in their constructors: one
+  // member of every node for a tissue sheet, the spec's slices and hash
+  // for a sweep.
+  int64_t CellsPer = 1;
+  uint64_t SpecHash = 0;
+  /// Records of the members that left Ok, by member index.
+  std::map<int64_t, MemberRecord> Members;
+
   // Guard-rail state.
   RunReport Report;
   Checkpoint Ck;
-  /// Per-cell degradation mode; empty until a cell first degrades.
-  std::vector<CellMode> Modes;
-  std::unordered_map<int64_t, FrozenSnapshot> Frozen;
   /// Lazily compiled exact scalar model for the fallback path.
   std::unique_ptr<exec::CompiledModel> RecoveryModel;
   bool RecoveryCompileFailed = false;

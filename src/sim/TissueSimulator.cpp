@@ -63,6 +63,7 @@ TissueSimulator::TissueSimulator(const CompiledModel &Model,
       Diff(TOpts.Grid, TOpts.Sigma, TOpts.Method) {
   // Node count matches the population by construction.
   (void)Buf.attachGrid(TOpts.Grid);
+  CellsPer = Opts.NumCells; // the sheet is one member
   buildPipeline();
 }
 

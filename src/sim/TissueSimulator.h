@@ -15,12 +15,15 @@
 // bit-identical for any shard count. The Crank-Nicolson path solves the
 // tridiagonal system serially on shard 0 behind the same barrier.
 //
-// Everything else is inherited from Simulator: guard rails (health scan,
-// rollback, dt-halving retries, freeze-and-flag; the dt ladder re-runs
-// diffusion too, since advance() is the virtual substep), cooperative
+// Everything else is inherited from Simulator: guard rails, cooperative
 // cancellation, durable checkpoint/resume (tissue geometry rides in the
 // v2 checkpoint section and is cross-checked on resume; the Vm field is
-// an external like any other).
+// an external like any other). Diffusion couples every node to the
+// sheet, so the sheet is one member of the recovery ladder: a fault
+// re-runs the whole sheet (advance() is the virtual substep, so every
+// rung re-runs diffusion too), and a fault no rung heals quarantines the
+// whole sheet at its last healthy checkpoint rather than clamping one
+// node inside a live field.
 //
 //===----------------------------------------------------------------------===//
 

@@ -56,16 +56,6 @@ SimOptions runOpts(int64_t Cells, int64_t Steps, bool Guard = false) {
   return Opts;
 }
 
-/// The wall-clock accumulators are the one legitimately nondeterministic
-/// part of a checkpoint; zero them so serialized checkpoints of equal
-/// simulations compare byte-for-byte.
-CheckpointData normalized(CheckpointData C) {
-  C.Report.ScanSeconds = 0;
-  C.Report.RecoverySeconds = 0;
-  C.Report.RunSeconds = 0;
-  return C;
-}
-
 /// The engine configurations the durability contract must hold for:
 /// scalar AoS, vectorized AoSoA at width 4 and 8, and the
 /// auto-vectorizer-like AoS gathers.
@@ -107,8 +97,8 @@ TEST(CheckpointRoundTrip, GuardRailStateSurvives) {
   auto M = compileByName("HodgkinHuxley", EngineConfig::baseline());
   SimOptions Opts = runOpts(/*Cells=*/8, /*Steps=*/64, /*Guard=*/true);
   Simulator S(*M, Opts);
-  // A persistent fault in one cell walks it down the degradation ladder,
-  // so the checkpoint has nontrivial Modes/Frozen/Report content.
+  // A persistent fault in one cell walks it down the recovery ladder, so
+  // the checkpoint has nontrivial member-record and Report content.
   S.setFaultInjector([](Simulator &Sim) {
     Sim.pokeState(3, 0, std::numeric_limits<double>::infinity());
   });
@@ -116,14 +106,39 @@ TEST(CheckpointRoundTrip, GuardRailStateSurvives) {
   ASSERT_GT(S.report().FaultEvents, 0);
 
   CheckpointData C = S.captureCheckpoint();
-  EXPECT_FALSE(C.Modes.empty());
-  EXPECT_FALSE(C.Frozen.empty());
+  ASSERT_EQ(C.Members.size(), 1u);
+  EXPECT_EQ(C.Members.at(3).Status, MemberStatus::Quarantined);
   std::string Bytes = serializeCheckpoint(C);
   Expected<CheckpointData> D = deserializeCheckpoint(Bytes);
   ASSERT_TRUE(bool(D)) << D.status().message();
   EXPECT_EQ(serializeCheckpoint(*D), Bytes);
   EXPECT_EQ(D->Report.FaultEvents, S.report().FaultEvents);
-  EXPECT_EQ(D->Frozen.size(), C.Frozen.size());
+  EXPECT_EQ(D->Members.size(), C.Members.size());
+}
+
+TEST(CheckpointRoundTrip, GuardedRunsWriteByteIdenticalCheckpoints) {
+  // No wall-clock time rides in a checkpoint, so two runs of one guarded
+  // spec — a persistent fault walking the ladder included — write the
+  // same bytes.
+  auto M = compileByName("HodgkinHuxley", EngineConfig::limpetMLIR(4));
+  std::string Bytes[2];
+  for (std::string &Out : Bytes) {
+    std::string Dir = freshDir("identical");
+    SimOptions Opts = runOpts(/*Cells=*/8, /*Steps=*/64, /*Guard=*/true);
+    Opts.Checkpoint.Dir = Dir;
+    Opts.Checkpoint.EveryN = 64;
+    Simulator S(*M, Opts);
+    S.setFaultInjector([](Simulator &Sim) {
+      Sim.pokeState(5, 1, std::numeric_limits<double>::quiet_NaN());
+    });
+    S.run();
+    ASSERT_EQ(S.memberStatus(5), MemberStatus::Quarantined);
+    std::vector<std::string> Files = CheckpointStore(Dir).list();
+    ASSERT_EQ(Files.size(), 1u);
+    ASSERT_TRUE(bool(compiler::readFileBytes(Files[0], Out)));
+    std::filesystem::remove_all(Dir);
+  }
+  EXPECT_EQ(Bytes[0], Bytes[1]);
 }
 
 //===----------------------------------------------------------------------===//
@@ -160,11 +175,15 @@ TEST(CheckpointCorruption, VersionMismatchIsRefusedNotMisparsed) {
   auto M = compileByName("HodgkinHuxley", EngineConfig::baseline());
   Simulator S(*M, runOpts(/*Cells=*/2, /*Steps=*/1));
   S.run();
-  std::string Bytes = serializeCheckpoint(S.captureCheckpoint());
-  Bytes[4] = char(Bytes[4] + 1); // version u32 follows the magic
-  Expected<CheckpointData> D = deserializeCheckpoint(Bytes);
-  ASSERT_FALSE(bool(D));
-  EXPECT_NE(D.status().message().find("version"), std::string::npos);
+  // A newer format and the previous one (v3, with per-cell modes and an
+  // ensemble section) are both refused.
+  for (int Delta : {1, -1}) {
+    std::string Bytes = serializeCheckpoint(S.captureCheckpoint());
+    Bytes[4] = char(Bytes[4] + Delta); // version u32 follows the magic
+    Expected<CheckpointData> D = deserializeCheckpoint(Bytes);
+    ASSERT_FALSE(bool(D)) << Delta;
+    EXPECT_NE(D.status().message().find("version"), std::string::npos);
+  }
 }
 
 //===----------------------------------------------------------------------===//
@@ -221,6 +240,20 @@ TEST(CheckpointStore, FallsBackToNewestValidCheckpoint) {
   std::filesystem::remove_all(Dir);
 }
 
+TEST(CheckpointStore, RemoveAfterDropsOnlyLaterSteps) {
+  std::string Dir = freshDir("remove-after");
+  CheckpointStore Store(Dir);
+  ASSERT_TRUE(bool(Store.prepare()));
+  for (int64_t Step : {10, 20, 30, 40})
+    std::ofstream(Store.pathForStep(Step)) << "not a checkpoint";
+  Store.removeAfter(20);
+  std::vector<std::string> Files = Store.list();
+  ASSERT_EQ(Files.size(), 2u);
+  EXPECT_NE(Files[0].find("ckpt-000000000010.lmpc"), std::string::npos);
+  EXPECT_NE(Files[1].find("ckpt-000000000020.lmpc"), std::string::npos);
+  std::filesystem::remove_all(Dir);
+}
+
 TEST(CheckpointStore, EmptyDirectoryIsARecoverableError) {
   std::string Dir = freshDir("empty");
   CheckpointStore Store(Dir);
@@ -267,8 +300,8 @@ TEST(CheckpointResume, ResumedRunIsBitIdenticalAcrossLayouts) {
     Second.run();
 
     EXPECT_EQ(Second.stepsDone(), 128) << engineConfigName(Cfg);
-    EXPECT_EQ(serializeCheckpoint(normalized(Second.captureCheckpoint())),
-              serializeCheckpoint(normalized(Ref.captureCheckpoint())))
+    EXPECT_EQ(serializeCheckpoint(Second.captureCheckpoint()),
+              serializeCheckpoint(Ref.captureCheckpoint()))
         << engineConfigName(Cfg) << ": resumed state differs";
   }
 }
@@ -278,20 +311,42 @@ TEST(CheckpointResume, GuardedResumeIsBitIdentical) {
   // 64/128 are multiples of the scan interval (8), so the interrupted
   // run's windows line up with the uninterrupted run's.
   SimOptions Opts = runOpts(/*Cells=*/8, /*Steps=*/128, /*Guard=*/true);
-  Simulator Ref(*M, Opts);
-  Ref.run();
+  // With a persistent fault, cell 3's one-cell member is quarantined in
+  // the first window and its record (and pinned values) cross the resume
+  // through the serialized member section.
+  for (bool Persistent : {false, true}) {
+    SCOPED_TRACE(Persistent ? "persistent fault" : "clean");
+    auto Inject = [&](Simulator &S) {
+      if (Persistent)
+        S.setFaultInjector([](Simulator &Sim) {
+          Sim.pokeState(3, 0, std::numeric_limits<double>::quiet_NaN());
+        });
+    };
+    Simulator Ref(*M, Opts);
+    Inject(Ref);
+    Ref.run();
 
-  SimOptions Half = Opts;
-  Half.NumSteps = 64;
-  Simulator First(*M, Half);
-  First.run();
-  Simulator Second(*M, Opts);
-  ASSERT_TRUE(bool(Second.resumeFrom(First.captureCheckpoint())));
-  Second.run();
+    SimOptions Half = Opts;
+    Half.NumSteps = 64;
+    Simulator First(*M, Half);
+    Inject(First);
+    First.run();
+    Expected<CheckpointData> C =
+        deserializeCheckpoint(serializeCheckpoint(First.captureCheckpoint()));
+    ASSERT_TRUE(bool(C)) << C.status().message();
+    EXPECT_EQ(C->Members.size(), Persistent ? 1u : 0u);
+    Simulator Second(*M, Opts);
+    Inject(Second);
+    ASSERT_TRUE(bool(Second.resumeFrom(*C)));
+    Second.run();
 
-  EXPECT_EQ(serializeCheckpoint(normalized(Second.captureCheckpoint())),
-            serializeCheckpoint(normalized(Ref.captureCheckpoint())));
-  EXPECT_EQ(Second.report().HealthScans, Ref.report().HealthScans);
+    EXPECT_EQ(Second.memberStatus(3), Ref.memberStatus(3));
+    EXPECT_EQ(Second.memberStatus(3), Persistent ? MemberStatus::Quarantined
+                                                 : MemberStatus::Ok);
+    EXPECT_EQ(serializeCheckpoint(Second.captureCheckpoint()),
+              serializeCheckpoint(Ref.captureCheckpoint()));
+    EXPECT_EQ(Second.report().HealthScans, Ref.report().HealthScans);
+  }
 }
 
 TEST(CheckpointResume, RefusesMismatchedModelConfigShapeAndHash) {
@@ -385,7 +440,7 @@ TEST(DurableRun, ShutdownRequestStopsWithFinalCheckpoint) {
   Resumed.run();
   Simulator Ref(*M, runOpts(8, 1000));
   Ref.run();
-  EXPECT_EQ(serializeCheckpoint(normalized(Resumed.captureCheckpoint())),
-            serializeCheckpoint(normalized(Ref.captureCheckpoint())));
+  EXPECT_EQ(serializeCheckpoint(Resumed.captureCheckpoint()),
+            serializeCheckpoint(Ref.captureCheckpoint()));
   std::filesystem::remove_all(Dir);
 }

@@ -568,6 +568,30 @@ TEST(RunSpecValidate, RejectsEachInvalidRunFieldLikeAdmission) {
   }
 }
 
+// limpetc and limpetctl parse --tissue through this one function: a grid
+// with a zero, negative, missing or trailing dimension is an error, never
+// a run without tissue.
+TEST(RunSpecTissueGrid, ParsesNXOrNXxNYAndRejectsTheRest) {
+  struct Good {
+    const char *Text;
+    int64_t NX, NY;
+  };
+  for (const Good &G : {Good{"8", 8, 1}, Good{"16x8", 16, 8},
+                        Good{"16X8", 16, 8}, Good{"1x1", 1, 1}}) {
+    Expected<sim::TissueGrid> P = sim::parseTissueGrid(G.Text);
+    ASSERT_TRUE(bool(P)) << G.Text << ": " << P.status().message();
+    EXPECT_EQ(P->NX, G.NX) << G.Text;
+    EXPECT_EQ(P->NY, G.NY) << G.Text;
+  }
+  for (const char *Bad : {"", "0", "0x4", "4x0", "-4", "4x-2", "x4", "4x",
+                          "4x4x4", "4y4", "4 x4", "4x4junk", "abc",
+                          "99999999999999999999"}) {
+    Expected<sim::TissueGrid> P = sim::parseTissueGrid(Bad);
+    ASSERT_FALSE(bool(P)) << "accepted '" << Bad << "'";
+    EXPECT_NE(P.status().message().find("tissue grid"), std::string::npos);
+  }
+}
+
 //===----------------------------------------------------------------------===//
 // RunSpec parity: buildRun directly and a limpetd job agree
 //===----------------------------------------------------------------------===//
@@ -698,6 +722,41 @@ TEST(DaemonJobRunner, ShutdownDuringMemberDtFloorJournalsNonTerminal) {
   R = Journal::readAll(JPath);
   ASSERT_TRUE(bool(R));
   EXPECT_TRUE(Journal::unfinished(*R).empty());
+  std::filesystem::remove_all(Dir);
+}
+
+// A replayed job whose checkpoint directory holds only files that never
+// load (an older format version, say) at steps past anything it will
+// reach starts over, and rotation keeps the checkpoints it writes: the
+// unloadable files go, so a second crash resumes from the newest new one.
+TEST(DaemonJobRunner, ReplayDropsUnloadableCheckpointsPastItsStart) {
+  std::string Dir = freshDir("runner-stale-ckpt");
+  Journal Jr(Dir + "/journal.lj");
+  ASSERT_TRUE(Jr.open().isOk());
+  JobRunner::Config RC;
+  RC.StateDir = Dir;
+  RC.SimThreads = 1;
+  RC.DefaultCheckpointEvery = 50;
+  JobRunner Runner(RC, Jr);
+
+  sim::CheckpointStore Store(Dir + "/job-1/ckpt");
+  ASSERT_TRUE(Store.prepare().isOk());
+  for (int64_t Step : {9000, 9500, 10000})
+    std::ofstream(Store.pathForStep(Step)) << "not a checkpoint";
+
+  auto J = std::make_shared<Job>();
+  J->Spec.Id = 1;
+  J->Spec.Model = "HodgkinHuxley";
+  J->Spec.NumCells = 8;
+  J->Spec.NumSteps = 400;
+  J->Spec.Guard = false; // checkpoints every 50 steps, the last at 400
+  J->Replayed = true;
+  ASSERT_EQ(Runner.execute(*J), JobState::Finished) << J->Error;
+
+  EXPECT_EQ(Store.list().size(), 3u);
+  Expected<sim::CheckpointData> C = Store.loadNewestValid();
+  ASSERT_TRUE(bool(C)) << C.status().message();
+  EXPECT_EQ(C->StepCount, 400);
   std::filesystem::remove_all(Dir);
 }
 

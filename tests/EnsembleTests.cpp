@@ -85,15 +85,6 @@ std::vector<double> allMemberChecksums(const EnsembleRunner &S) {
   return Out;
 }
 
-/// Wall-clock accumulators are the one nondeterministic checkpoint field;
-/// zero them so equal sweeps compare byte-for-byte.
-CheckpointData normalized(CheckpointData C) {
-  C.Report.ScanSeconds = 0;
-  C.Report.RecoverySeconds = 0;
-  C.Report.RunSeconds = 0;
-  return C;
-}
-
 } // namespace
 
 //===----------------------------------------------------------------------===//
@@ -279,6 +270,24 @@ TEST(EnsembleDeterminism, QuarantineReproducibleAcrossRunsAndThreads) {
   EXPECT_GE(R1[1].QuarantineStep, 0);
 }
 
+TEST(EnsembleDeterminism, OutOfBoundsSweptValueQuarantinesOnce) {
+  // gNa = 2e12 is finite, so the sweep builds, but the swept external is
+  // beyond the magnitude bound from step 0: the member's pin is never in
+  // bounds. It is quarantined in the first window, and no later window
+  // counts it as a fault again.
+  auto EM = buildHH("gNa=120,2e12", /*CellsPer=*/1,
+                    EngineConfig::limpetMLIR(4));
+  ASSERT_TRUE(EM.has_value());
+  EnsembleRunner S(*EM, sweepOpts(200));
+  S.run();
+  EXPECT_EQ(S.stepsDone(), 200);
+  EXPECT_EQ(S.membersQuarantined(), 1);
+  EXPECT_EQ(S.memberStatus(1), MemberStatus::Quarantined);
+  EXPECT_EQ(S.memberStatus(0), MemberStatus::Ok);
+  EXPECT_EQ(S.report().FaultEvents, 1);
+  EXPECT_TRUE(S.scanIsHealthy());
+}
+
 TEST(EnsembleDeterminism, NdjsonOneLinePerMember) {
   auto EM = buildHH("gNa=120,1e9,90", /*CellsPer=*/1,
                     EngineConfig::limpetMLIR(4));
@@ -325,10 +334,9 @@ TEST(EnsembleResume, BitIdenticalAfterInterruptPerLayoutAndWidth) {
     CheckpointStore Store(Dir);
     Expected<CheckpointData> C = Store.loadNewestValid();
     ASSERT_TRUE(bool(C)) << C.status().message();
-    EXPECT_EQ(C->EnsembleMembers, 4);
-    EXPECT_EQ(C->EnsembleStatus.size(), 4u);
-    EXPECT_EQ(C->EnsembleStatus[1].Status,
-              uint8_t(MemberStatus::Quarantined));
+    EXPECT_EQ(C->NumCells / C->CellsPerMember, 4);
+    EXPECT_EQ(C->Members.size(), 1u);
+    EXPECT_EQ(C->Members.at(1).Status, MemberStatus::Quarantined);
 
     // A fresh runner (fresh process, morally) resumes and finishes.
     EnsembleRunner Resumed(*EM, sweepOpts(200));
@@ -340,8 +348,8 @@ TEST(EnsembleResume, BitIdenticalAfterInterruptPerLayoutAndWidth) {
 
     EnsembleRunner Ref(*EM, sweepOpts(200));
     Ref.run();
-    EXPECT_EQ(serializeCheckpoint(normalized(Resumed.captureCheckpoint())),
-              serializeCheckpoint(normalized(Ref.captureCheckpoint())))
+    EXPECT_EQ(serializeCheckpoint(Resumed.captureCheckpoint()),
+              serializeCheckpoint(Ref.captureCheckpoint()))
         << engineConfigName(Cfg)
         << ": resumed sweep diverged from uninterrupted";
     EXPECT_EQ(allMemberChecksums(Resumed), allMemberChecksums(Ref));
@@ -356,11 +364,10 @@ TEST(EnsembleResume, CheckpointsNeverCrossThePlainEnsembleWall) {
   EnsembleRunner S(*EM, sweepOpts(64));
   S.run();
   CheckpointData EnsCkpt = S.captureCheckpoint();
-  ASSERT_EQ(EnsCkpt.EnsembleMembers, 2);
+  ASSERT_EQ(EnsCkpt.NumCells / EnsCkpt.CellsPerMember, 2);
 
   // A plain simulator on the very same lowered model (shape matches, so
-  // only the ensemble section can refuse) must not continue the sweep:
-  // it cannot restore the per-member status.
+  // only the member section can refuse) must not continue the sweep.
   SimOptions Plain;
   Plain.NumCells = 4;
   Plain.NumSteps = 64;

@@ -128,8 +128,36 @@ TEST(FaultTolerance, SingleInjectedNanHealedBySubstepping) {
   EXPECT_GT(R.Substeps, 0);
   EXPECT_EQ(R.CellsDegraded, 0);
   EXPECT_EQ(R.CellsFrozen, 0);
-  EXPECT_EQ(S.cellMode(3), CellMode::Normal);
+  EXPECT_EQ(S.memberStatus(3), MemberStatus::Recovered);
   EXPECT_EQ(S.stepsDone(), S.options().NumSteps);
+}
+
+TEST(FaultTolerance, HealedCellLeavesEveryOtherCellBitIdentical) {
+  // A one-shot NaN healed at dt/2: the rung re-runs the whole population,
+  // then puts every member outside it back, so the 15 other cells end
+  // exactly where an undisturbed guarded run ends.
+  auto M = compileByName("HodgkinHuxley", EngineConfig::limpetMLIR(4));
+  Simulator S(*M, guardedOpts());
+  bool Fired = false;
+  S.setFaultInjector([&](Simulator &Sim) {
+    if (!Fired && Sim.stepsDone() == 40) {
+      Fired = true;
+      Sim.pokeState(3, 0, quietNaN());
+    }
+  });
+  S.run();
+  Simulator Clean(*M, guardedOpts());
+  Clean.run();
+
+  ASSERT_EQ(S.report().Retries, 1);
+  EXPECT_EQ(S.memberStatus(3), MemberStatus::Recovered);
+  for (int64_t C = 0; C != S.options().NumCells; ++C) {
+    if (C == 3)
+      continue;
+    for (unsigned Sv = 0; Sv != M->program().NumSv; ++Sv)
+      EXPECT_EQ(S.stateOf(C, Sv), Clean.stateOf(C, Sv)) << C << "/" << Sv;
+    EXPECT_EQ(S.vm(C), Clean.vm(C)) << C;
+  }
 }
 
 TEST(FaultTolerance, UnhealableCellFreezesWithoutCorruptingNeighbors) {
@@ -144,7 +172,7 @@ TEST(FaultTolerance, UnhealableCellFreezesWithoutCorruptingNeighbors) {
   Clean.run();
 
   EXPECT_TRUE(S.scanIsHealthy());
-  EXPECT_EQ(S.cellMode(Victim), CellMode::Frozen);
+  EXPECT_EQ(S.memberStatus(Victim), MemberStatus::Quarantined);
   EXPECT_EQ(S.report().CellsFrozen, 1);
   // The final (successful) re-run of every recovered window happens at
   // nominal dt, so untouched cells must be bit-identical to an
@@ -155,6 +183,30 @@ TEST(FaultTolerance, UnhealableCellFreezesWithoutCorruptingNeighbors) {
     EXPECT_DOUBLE_EQ(S.vm(C), Clean.vm(C)) << C;
     EXPECT_DOUBLE_EQ(S.stateOf(C, 0), Clean.stateOf(C, 0)) << C;
   }
+}
+
+TEST(FaultTolerance, QuarantinedTraceCellRecordsItsPinnedValue) {
+  // The traced cell is the one no rung heals. From the last healthy
+  // checkpoint (step 40) on, its trace holds the pinned value, the failed
+  // window included, never the NaN the last rung left there.
+  auto M = compileByName("HodgkinHuxley", EngineConfig::limpetMLIR(4));
+  const int64_t Victim = 5;
+  SimOptions Opts = guardedOpts();
+  Opts.RecordTrace = true;
+  Opts.TraceCell = Victim;
+  Simulator S(*M, Opts);
+  S.setFaultInjector([&](Simulator &Sim) {
+    if (Sim.stepsDone() > 40)
+      Sim.pokeState(Victim, 1, quietNaN());
+  });
+  S.run();
+  ASSERT_EQ(S.memberStatus(Victim), MemberStatus::Quarantined);
+  const std::vector<double> &Tr = S.trace();
+  ASSERT_EQ(Tr.size(), size_t(Opts.NumSteps));
+  for (size_t I = 0; I != Tr.size(); ++I)
+    EXPECT_TRUE(std::isfinite(Tr[I])) << "step " << I + 1;
+  for (size_t I = 40; I != Tr.size(); ++I)
+    EXPECT_EQ(Tr[I], S.vm(Victim)) << "step " << I + 1;
 }
 
 TEST(FaultTolerance, CorruptedLutDegradesPopulationToScalarExact) {
@@ -176,7 +228,7 @@ TEST(FaultTolerance, CorruptedLutDegradesPopulationToScalarExact) {
   EXPECT_EQ(R.CellsDegraded, Opts.NumCells);
   EXPECT_EQ(R.CellsFrozen, 0);
   for (int64_t C = 0; C != Opts.NumCells; ++C) {
-    EXPECT_EQ(S.cellMode(C), CellMode::ScalarExact) << C;
+    EXPECT_EQ(S.memberStatus(C), MemberStatus::ScalarExact) << C;
     EXPECT_TRUE(std::isfinite(S.vm(C))) << C;
   }
   // Degraded cells keep evolving: the exact kernel still produces the
@@ -227,13 +279,11 @@ TEST(FaultTolerance, ExtremeDtKeptFinite) {
 TEST(FaultTolerance, FreezeDisabledStillCleansPopulation) {
   auto M = compileByName("HodgkinHuxley", EngineConfig::limpetMLIR(4));
   SimOptions Opts = guardedOpts(/*Cells=*/8, /*Steps=*/48);
-  Opts.Guard.AllowScalarFallback = false;
-  Opts.Guard.AllowFreeze = false;
   Simulator S(*M, Opts);
   S.setFaultInjector([&](Simulator &Sim) { Sim.pokeState(2, 0, quietNaN()); });
   S.run();
-  // With every ladder rung disabled the last resort pins faulty cells in
-  // place; the run must still complete with a clean population.
+  // A fault no rung heals ends quarantined; the run must still complete
+  // with a clean population.
   EXPECT_TRUE(S.scanIsHealthy());
   EXPECT_EQ(S.stepsDone(), Opts.NumSteps);
   EXPECT_GT(S.report().FaultEvents, 0);

@@ -136,6 +136,10 @@ struct LayoutPoint {
   bool FastMath;
 };
 
+// gtest prints a parameter into the name ctest registers; print the name,
+// not the struct's bytes (a pointer and padding differ per build).
+void PrintTo(const LayoutPoint &P, std::ostream *OS) { *OS << P.Name; }
+
 class NativeKernelEquivalence
     : public ::testing::TestWithParam<LayoutPoint> {};
 

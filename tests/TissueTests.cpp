@@ -42,15 +42,6 @@ std::optional<CompiledModel> compileByName(const char *Name,
   return CompiledModel::compile(*Info, Cfg);
 }
 
-/// Wall-time fields differ between otherwise identical runs; zero them so
-/// serialized checkpoints compare bit-for-bit.
-CheckpointData normalizedCkpt(CheckpointData C) {
-  C.Report.ScanSeconds = 0;
-  C.Report.RecoverySeconds = 0;
-  C.Report.RunSeconds = 0;
-  return C;
-}
-
 //===----------------------------------------------------------------------===//
 // Grid geometry
 //===----------------------------------------------------------------------===//
@@ -488,8 +479,7 @@ TEST(TissueSim, RunsAreBitIdenticalAcrossShardCounts) {
       ASSERT_TRUE(S.preflight().isOk());
       S.run();
       EXPECT_EQ(S.stepsDone(), 60);
-      std::string Bytes =
-          serializeCheckpoint(normalizedCkpt(S.captureCheckpoint()));
+      std::string Bytes = serializeCheckpoint(S.captureCheckpoint());
       if (Threads == 1)
         Ref = Bytes;
       else
@@ -534,8 +524,7 @@ TEST(TissueSim, ResumeIsBitIdenticalPerLayoutAndWidth) {
     TissueOptions Full = cableOpts(48, 1, 120, 0.005);
     TissueSimulator A(*M, Full);
     A.run();
-    std::string Want =
-        serializeCheckpoint(normalizedCkpt(A.captureCheckpoint()));
+    std::string Want = serializeCheckpoint(A.captureCheckpoint());
 
     TissueOptions Half = Full;
     Half.Sim.NumSteps = 60;
@@ -549,8 +538,7 @@ TEST(TissueSim, ResumeIsBitIdenticalPerLayoutAndWidth) {
     ASSERT_TRUE(R.isOk()) << R.message();
     C.run(); // NumSteps is the total target: 60 more steps
     EXPECT_EQ(C.stepsDone(), 120);
-    EXPECT_EQ(serializeCheckpoint(normalizedCkpt(C.captureCheckpoint())),
-              Want)
+    EXPECT_EQ(serializeCheckpoint(C.captureCheckpoint()), Want)
         << "layout " << int(Cfg.Layout) << " width " << Cfg.Width;
   }
 }
@@ -634,8 +622,8 @@ TEST(TissueSim, S1S2PacingIsDeterministicAcrossResume) {
   auto B = runTo(250, nullptr); // mid-train interrupt point
   CheckpointData Mid = B->captureCheckpoint();
   auto C = runTo(500, &Mid);
-  EXPECT_EQ(serializeCheckpoint(normalizedCkpt(A->captureCheckpoint())),
-            serializeCheckpoint(normalizedCkpt(C->captureCheckpoint())));
+  EXPECT_EQ(serializeCheckpoint(A->captureCheckpoint()),
+            serializeCheckpoint(C->captureCheckpoint()));
 }
 
 TEST(TissueSim, ActivationMapTracksAPropagatingWavefront) {

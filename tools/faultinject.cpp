@@ -2,10 +2,11 @@
 //
 // Deliberately breaks running simulations — NaNs injected into state,
 // +Inf into Vm, corrupted LUT rows, pathological dt and parameters — and
-// verifies that every rung of the Simulator's recovery ladder fires and
-// leaves the population healthy (docs/ROBUSTNESS.md). Exits nonzero when
-// any scenario's recovery or RunReport accounting does not match the
-// injections, so it doubles as an acceptance check:
+// verifies that every rung of the Simulator's recovery ladder fires for
+// plain, sweep and tissue members and leaves the population healthy
+// (docs/ROBUSTNESS.md). Exits nonzero when any scenario's recovery or
+// RunReport accounting does not match the injections, so it doubles as
+// an acceptance check:
 //
 //   faultinject            run every scenario
 //   faultinject nan-state  run one scenario
@@ -27,6 +28,7 @@
 #include "sim/TissueSimulator.h"
 #include "support/FailPoint.h"
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -121,7 +123,8 @@ bool scenarioNanState() {
   Ok &= check(R.Retries >= 1 && R.Substeps > 0, "healed by sub-stepping");
   Ok &= check(R.CellsDegraded == 0 && R.CellsFrozen == 0,
               "no degradation needed");
-  Ok &= check(S.cellMode(3) == CellMode::Normal, "victim back to normal");
+  Ok &= check(S.memberStatus(3) == MemberStatus::Recovered,
+              "victim recovered, back on the full-speed path");
   return Ok;
 }
 
@@ -154,8 +157,8 @@ bool scenarioInfVm() {
 }
 
 /// A NaN re-injected into the same cell after every step: no amount of
-/// re-integration heals it, so the ladder must end with that one cell
-/// frozen while every other cell keeps evolving normally.
+/// re-integration heals it, so the ladder must end with that one-cell
+/// member quarantined while every other cell keeps evolving normally.
 bool scenarioPersistent() {
   auto M = compileSuiteModel("HodgkinHuxley", EngineConfig::limpetMLIR(4));
   if (!M)
@@ -174,7 +177,8 @@ bool scenarioPersistent() {
   const RunReport &R = S.report();
   std::printf("%s", R.str().c_str());
   bool Ok = check(S.scanIsHealthy(), "population healthy after recovery");
-  Ok &= check(S.cellMode(Victim) == CellMode::Frozen, "victim frozen");
+  Ok &= check(S.memberStatus(Victim) == MemberStatus::Quarantined,
+              "victim quarantined");
   Ok &= check(R.CellsFrozen == 1, "exactly one cell frozen");
   bool NeighborsExact = true;
   for (int64_t C = 0; C != S.options().NumCells; ++C)
@@ -259,7 +263,7 @@ bool scenarioExtremeParam() {
 }
 
 /// A persistent NaN under a sharded (multi-threaded) stepping loop:
-/// recovery rollback/fallback/freeze operates on StateBuffer checkpoints
+/// recovery rollback/fallback/quarantine operates on StateBuffer checkpoints
 /// shared across shards, and the result must be bit-identical to the
 /// same injection handled single-threaded — threading must change
 /// nothing about where the ladder lands.
@@ -288,7 +292,7 @@ bool scenarioSharded() {
       Out.Vm.push_back(S.vm(C));
     Out.Report = S.report();
     Out.Healthy = S.scanIsHealthy();
-    Out.VictimFrozen = S.cellMode(Victim) == CellMode::Frozen;
+    Out.VictimFrozen = S.memberStatus(Victim) == MemberStatus::Quarantined;
     Out.Shards = S.scheduler().numShards();
     return Out;
   };
@@ -308,7 +312,7 @@ bool scenarioSharded() {
 }
 
 /// One pathological parameter point inside a batched sweep: the
-/// member-local ladder must quarantine exactly that member while every
+/// recovery ladder must quarantine exactly that member while every
 /// healthy member's trajectory stays bit-identical to a sweep in which
 /// the poison member ran a sane point — partial results, never a lost
 /// sweep (docs/ENSEMBLE.md).
@@ -359,8 +363,8 @@ bool scenarioEnsembleQuarantine() {
 
   // Member isolation: the same population with the poison point replaced
   // by a sane one. Members 0, 2, 3 never faulted in either run, so their
-  // slices must be bit-identical — the ladder's re-runs touched nothing
-  // outside the faulting member's block-aligned range.
+  // slices must be bit-identical — every rung put the members outside it
+  // back as they were before it.
   if (!BuildAndRun("gNa=120,100,90,110", Clean, CleanEM))
     return false;
   Ok &= check(Clean->membersQuarantined() == 0, "control sweep all-healthy");
@@ -385,18 +389,9 @@ std::string freshDir(const char *Tag) {
   return Dir;
 }
 
-/// Zeroes the wall-clock accumulators, the only nondeterministic fields,
-/// so final states of equal simulations compare byte-for-byte.
-CheckpointData normalizedCkpt(CheckpointData C) {
-  C.Report.ScanSeconds = 0;
-  C.Report.RecoverySeconds = 0;
-  C.Report.RunSeconds = 0;
-  return C;
-}
-
 bool finalStatesIdentical(Simulator &A, Simulator &B) {
-  return serializeCheckpoint(normalizedCkpt(A.captureCheckpoint())) ==
-         serializeCheckpoint(normalizedCkpt(B.captureCheckpoint()));
+  return serializeCheckpoint(A.captureCheckpoint()) ==
+         serializeCheckpoint(B.captureCheckpoint());
 }
 
 /// Deterministic kill-at-step under the guard rails: a shutdown request
@@ -715,6 +710,60 @@ bool scenarioTissueNanStencil() {
               "one-shot NaN healed without freezing or degrading");
   Ok &= check(S.stepsDone() == 200, "run completed");
   Ok &= check(populationFinite(S), "sheet finite at the end");
+  return Ok;
+}
+
+/// A NaN re-injected into one node after every step from step 41 on:
+/// diffusion couples every node, so the sheet is one member. It walks
+/// dt-retry and scalar-exact as a whole, and since every re-run is
+/// poisoned again it ends quarantined as a whole, pinned at the last
+/// healthy checkpoint, instead of clamping one node inside a live field.
+/// The run completes healthy and its report says what was sacrificed; the
+/// trace of the poisoned node holds the pinned value, not the NaN.
+bool scenarioTissuePersistent() {
+  auto M = compileSuiteModel("HodgkinHuxley", EngineConfig::limpetMLIR(4));
+  if (!M)
+    return false;
+  int VmIdx = M->info().externalIndex("Vm");
+  if (!check(VmIdx >= 0, "model has a Vm external"))
+    return false;
+  TissueOptions TO = tissueOpts(/*NX=*/32, /*NY=*/2, /*Steps=*/120);
+  TO.Sim.RecordTrace = true;
+  TO.Sim.TraceCell = 21;
+  TissueSimulator S(*M, TO);
+  if (!check(S.preflight().isOk(), "preflight passes"))
+    return false;
+  S.setFaultInjector([&](Simulator &Sim) {
+    if (Sim.stepsDone() > 40)
+      Sim.pokeExternal(size_t(VmIdx), /*Cell=*/21, quietNaN());
+  });
+  S.run();
+  const RunReport &R = S.report();
+  std::printf("%s", R.str().c_str());
+  int64_t Nodes = TO.Grid.numNodes();
+  bool Ok = check(S.stepsDone() == 120, "run completed");
+  Ok &= check(S.scanIsHealthy(), "sheet healthy at the end");
+  Ok &= check(populationFinite(S), "sheet finite at the end");
+  const std::vector<double> &Tr = S.trace();
+  Ok &= check(Tr.size() == 120 &&
+                  std::all_of(Tr.begin(), Tr.end(),
+                              [](double V) { return std::isfinite(V); }),
+              "trace of the poisoned node finite");
+  Ok &= check(S.numMembers() == 1 && S.cellsPerMember() == Nodes,
+              "the sheet is one member");
+  Ok &= check(R.FaultEvents == 1, "one fault event");
+  Ok &= check(R.Retries == kMaxDtRetries, "every dt rung re-ran the sheet");
+  Ok &= check(S.memberStatus(0) == MemberStatus::Quarantined &&
+                  S.membersQuarantined() == 1,
+              "the sheet is quarantined");
+  CheckpointData C = S.captureCheckpoint();
+  const MemberRecord &Rec = C.Members[0];
+  Ok &= check(Rec.Reason == QuarantineReason::ScalarFault &&
+                  Rec.DtRetries == kMaxDtRetries,
+              "quarantined after dt-retry and scalar-exact");
+  Ok &= check(Rec.QuarantineStep == 40, "pinned at the last healthy step");
+  Ok &= check(R.CellsFrozen == Nodes && R.CellsDegraded == 0,
+              "report counts every node frozen, none degraded");
   return Ok;
 }
 
@@ -1332,6 +1381,9 @@ const Scenario Scenarios[] = {
     {"tissue-nan-in-stencil",
      "NaN smeared through the diffusion stencil -> tissue healed",
      scenarioTissueNanStencil},
+    {"tissue-persistent",
+     "NaN re-injected into one node -> the whole sheet quarantined",
+     scenarioTissuePersistent},
     {"tissue-ckpt-resume",
      "shutdown mid-tissue-run -> tissue resume exact, mismatches refused",
      scenarioTissueCkptResume},

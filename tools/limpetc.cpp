@@ -141,8 +141,8 @@ void printUsage() {
       "  --retain N          rotated checkpoints to keep (default 3)\n"
       "  --resume            resume --run from the newest valid checkpoint\n"
       "                      in --checkpoint-dir (corrupt/truncated files\n"
-      "                      are skipped; the run continues bit-identically\n"
-      "                      to an uninterrupted one)\n"
+      "                      are skipped and deleted; the run continues\n"
+      "                      bit-identically to an uninterrupted one)\n"
       "  --timeout S         wall-clock budget in seconds for --run: the\n"
       "                      same cooperative deadline limpetd enforces.\n"
       "                      The run stops at a step boundary, writes one\n"
@@ -367,9 +367,13 @@ int runModel(const sim::RunSpec &Spec, const sim::RunEnv &Env,
       std::fprintf(stderr, "error: %s\n", St.message().c_str());
       return 1;
     }
+    // The skipped files are newer than the one resumed from. Rotation
+    // keeps the highest steps, so left in place they would delete every
+    // checkpoint this run writes.
+    Store.removeAfter(C->StepCount);
     std::string Note =
         Skipped ? " (" + std::to_string(Skipped) +
-                      " corrupt/truncated checkpoint(s) skipped)"
+                      " corrupt/truncated checkpoint(s) skipped and deleted)"
                 : "";
     std::printf("resumed from %s at step %lld%s\n", CkptPath.c_str(),
                 (long long)C->StepCount, Note.c_str());
@@ -573,17 +577,14 @@ int main(int argc, char **argv) {
     else if (flagValue(argc, argv, I, "--dt", Val))
       Spec.Dt = std::atof(Val.c_str());
     else if (flagValue(argc, argv, I, "--tissue", Val)) {
-      long long NX = 0, NY = 1;
-      char Sep = 0;
-      int N = std::sscanf(Val.c_str(), "%lld%c%lld", &NX, &Sep, &NY);
-      if ((N != 1 && (N != 3 || (Sep != 'x' && Sep != 'X'))) || NX < 1) {
-        std::fprintf(stderr,
-                     "error: bad --tissue spec '%s' (want NX or NXxNY)\n",
-                     Val.c_str());
+      Expected<sim::TissueGrid> G = sim::parseTissueGrid(Val);
+      if (!G) {
+        std::fprintf(stderr, "error: --tissue: %s\n",
+                     G.status().message().c_str());
         return 1;
       }
-      Spec.TissueNX = NX;
-      Spec.TissueNY = NY;
+      Spec.TissueNX = G->NX;
+      Spec.TissueNY = G->NY;
     } else if (flagValue(argc, argv, I, "--dx", Val))
       Spec.TissueDx = std::atof(Val.c_str());
     else if (flagValue(argc, argv, I, "--sigma", Val))

@@ -17,6 +17,7 @@
 
 #include "daemon/Json.h"
 #include "daemon/Protocol.h"
+#include "sim/Run.h"
 #include "support/StringUtils.h"
 
 #include <cerrno>
@@ -278,19 +279,14 @@ int main(int argc, char **argv) {
       Req.set("progress_every",
               JsonValue::number(double(std::atoll(Val.c_str()))));
     else if (flagValue(argc, argv, I, "--tissue", Val)) {
-      long long NX = 0, NY = 1;
-      char Sep = 0;
-      int N = std::sscanf(Val.c_str(), "%lld%c%lld", &NX, &Sep, &NY);
-      if (N == 1)
-        NY = 1;
-      else if (N != 3 || (Sep != 'x' && Sep != 'X')) {
-        std::fprintf(stderr,
-                     "error: bad --tissue spec '%s' (want NX or NXxNY)\n",
-                     Val.c_str());
+      Expected<sim::TissueGrid> G = sim::parseTissueGrid(Val);
+      if (!G) {
+        std::fprintf(stderr, "error: --tissue: %s\n",
+                     G.status().message().c_str());
         return 1;
       }
-      Req.set("tissue_nx", JsonValue::number(double(NX)));
-      Req.set("tissue_ny", JsonValue::number(double(NY)));
+      Req.set("tissue_nx", JsonValue::number(double(G->NX)));
+      Req.set("tissue_ny", JsonValue::number(double(G->NY)));
     } else if (flagValue(argc, argv, I, "--dx", Val))
       Req.set("tissue_dx", JsonValue::number(std::atof(Val.c_str())));
     else if (flagValue(argc, argv, I, "--sigma", Val))
